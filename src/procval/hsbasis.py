@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 
 __all__ = ["HSBasis", "HSTerm", "make_basis", "decompose", "reconstruct",
-           "coefficient_tensor", "default_term_tol"]
+           "coefficient_tensor", "default_term_tol", "merge_matrix"]
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,25 @@ def _synthesis_matrix(d: int) -> np.ndarray:
     return np.stack([op.reshape(-1) for op in basis.ops]).T
 
 
+@lru_cache(maxsize=None)
+def merge_matrix(a: int, b: int) -> np.ndarray:
+    """Basis change from products of the ``a``- and ``b``-dimensional bases
+    to the basis of the merged ``a*b``-dimensional subsystem (the first
+    factor most significant): ``T[K, i, j] = trace(S_K (s_i x s_j)) / (a*b)``.
+
+    Coefficients combine as ``C[K] = sum_ij T[K, i, j] c[i] e[j]``. ``T`` is
+    real because every basis element is Hermitian; the identity only maps to
+    the identity, so the identity/traceless split of each factor survives.
+    """
+    d = a * b
+    sa = np.stack(make_basis(a).ops)
+    sb = np.stack(make_basis(b).ops)
+    products = np.einsum("ipq,jrs->ijprqs", sa, sb).reshape(a * a * b * b, d * d)
+    t = (_extraction_matrix(d) @ products.T).real.reshape(d * d, a * a, b * b) / d
+    t.setflags(write=False)
+    return t
+
+
 def coefficient_tensor(m, dims: Sequence[int]) -> np.ndarray:
     """Full coefficient array of a Hermitian operator over the tensor-product
     basis, shape (d_1^2, ..., d_n^2); entry [i1,...,in] = trace(m s_I) / D.
@@ -119,7 +138,7 @@ def coefficient_tensor(m, dims: Sequence[int]) -> np.ndarray:
 
 def default_term_tol(coeffs: np.ndarray) -> float:
     """Pruning threshold separating structural zeros from float residue."""
-    peak = float(np.abs(coeffs).max(initial=0.0))
+    peak = max(float(coeffs.max(initial=0.0)), -float(coeffs.min(initial=0.0)))
     return 1e-9 * max(1.0, peak)
 
 

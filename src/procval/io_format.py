@@ -61,7 +61,11 @@ def _require(cond: bool, exc: type[ProcmatError], message: str, location: str):
 def _as_float(x, location: str) -> float:
     _require(isinstance(x, (int, float)) and not isinstance(x, bool),
              MalformedDocumentError, f"expected a number, got {x!r}", location)
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise MalformedDocumentError("integer entry does not fit a double",
+                                     location) from None
 
 
 def parse_document(text: str) -> tuple[ProcessMatrix, dict]:

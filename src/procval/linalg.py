@@ -19,6 +19,7 @@ __all__ = [
     "partial_trace",
     "permute_subsystems",
     "min_eigenvalue",
+    "eigenvalue_range",
     "frobenius",
     "hermiticity_defect",
     "hermitian_tolerance",
@@ -143,12 +144,25 @@ def permute_subsystems(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarra
     return np.ascontiguousarray(t.transpose(axes).reshape(out_dim, out_dim))
 
 
+def eigenvalue_range(m, tol: float | None = None) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the Hermitian part (M + M^dagger)/2,
+    from one eigendecomposition.
+
+    Rejects inputs with a non-finite entry, and inputs that are not Hermitian
+    within ``tol`` (default: scale-aware tolerance).
+    """
+    a = as_operator(m)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
+    a = require_hermitian(a, tol)
+    lam = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    return float(lam[0]), float(lam[-1])
+
+
 def min_eigenvalue(m, tol: float | None = None) -> float:
     """Smallest eigenvalue of the Hermitian part (M + M^dagger)/2.
 
-    Rejects inputs that are not Hermitian within ``tol`` (default:
-    scale-aware tolerance).
+    Rejects inputs with a non-finite entry, and inputs that are not Hermitian
+    within ``tol`` (default: scale-aware tolerance).
     """
-    a = require_hermitian(m, tol)
-    h = (a + a.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(h)[0])
+    return eigenvalue_range(m, tol)[0]

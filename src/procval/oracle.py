@@ -11,6 +11,7 @@ implementation-independent validity probe.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -213,7 +214,8 @@ def normalization_oracle(w: ProcessMatrix, samples: int = 200, seed: int = 0,
     deterministic battery.
 
     Every tuple is trace preserving, so a valid process must give p = 1 each
-    time; the report carries the worst deviation and its witness tuple.
+    time; the report carries the worst deviation and its witness tuple. A
+    non-finite probability counts as an infinite deviation.
     Sample k draws party p's channel from the substream keyed by
     (seed, k, p), so results are reproducible and order-independent.
     """
@@ -239,6 +241,8 @@ def normalization_oracle(w: ProcessMatrix, samples: int = 200, seed: int = 0,
     best_label = "none"
     for label, chans in tuples:
         dev = abs(probability(w, chans) - 1.0)
+        if not math.isfinite(dev):
+            dev = math.inf  # a non-finite probability is never normalized
         if dev > best:
             best, best_witness, best_label = dev, chans, label
     return OracleVerdict(

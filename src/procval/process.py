@@ -204,7 +204,11 @@ class Tolerances:
     term: float | None = None
 
     def psd_limit(self, op: np.ndarray) -> float:
-        return self.psd if self.psd is not None else 1e-9 * linalg.frobenius(op)
+        return self.psd_limit_at_norm(linalg.frobenius(op))
+
+    def psd_limit_at_norm(self, norm: float) -> float:
+        """PSD threshold for an operator of Frobenius norm ``norm``."""
+        return self.psd if self.psd is not None else 1e-9 * norm
 
     def trace_limit(self, d_out: int) -> float:
         return self.trace if self.trace is not None else 1e-9 * d_out

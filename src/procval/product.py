@@ -8,23 +8,35 @@ with the right trace when both factors are, so only the term rule can fail; it
 fails exactly when some pair of nontrivial terms, one from each factor, merges
 into a term that is a pure input on no party. Such pairs are reported as
 blocking pairs.
+
+The decisions never build the product operator. Each factor is reduced once
+to a record: its coefficient tensor over the operator basis, the extreme
+eigenvalues of its Hermitian part, its Frobenius norm and its trace. The
+record of a product follows from the factors' records alone, because the
+coefficients merge subsystem by subsystem through
+:func:`~procval.hsbasis.merge_matrix`, the eigenvalues of ``W (x) Z`` are the
+products of theirs, and norm and trace multiply. :func:`tensor_product` still
+builds the dense operator; together with :func:`~procval.process.is_valid_process`
+it is the independent reference the structural path is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from . import linalg
+import numpy as np
+
+from . import hsbasis, linalg
 from .hsbasis import HSTerm
 from .process import (
     Party,
     PartyLayout,
     PartyTag,
     ProcessMatrix,
-    TermSignature,
+    Tolerances,
     classify_term,
-    is_valid_process,
 )
 
 __all__ = [
@@ -69,15 +81,15 @@ class PartyPairing:
         return PartyPairing(tuple(pairs))
 
 
-def _resolve_pairing(w: ProcessMatrix, z: ProcessMatrix,
+def _resolve_pairing(w_layout: PartyLayout, z_layout: PartyLayout,
                      pairing: PartyPairing | None) -> PartyPairing:
     if pairing is None:
-        return PartyPairing.positional(w.layout, z.layout)
-    if len(pairing.pairs) != w.layout.n_parties or len(pairing.pairs) != z.layout.n_parties:
+        return PartyPairing.positional(w_layout, z_layout)
+    if len(pairing.pairs) != w_layout.n_parties or len(pairing.pairs) != z_layout.n_parties:
         raise ValueError("pairing must cover every party of both processes exactly once")
     for wn, zn, _ in pairing.pairs:
-        w.layout.party_index(wn)
-        z.layout.party_index(zn)
+        w_layout.party_index(wn)
+        z_layout.party_index(zn)
     return pairing
 
 
@@ -92,35 +104,131 @@ def combined_layout(w_layout: PartyLayout, z_layout: PartyLayout,
     return PartyLayout(tuple(parties))
 
 
+def _merged_subsystems(w_layout: PartyLayout, z_layout: PartyLayout,
+                       pairing: PartyPairing) -> list[tuple[int, int]]:
+    """For each subsystem of the merged layout, in order, the subsystem of
+    each factor that goes into it: input then output of every merged party,
+    the first factor's part most significant."""
+    out = []
+    for wn, zn, _ in pairing.pairs:
+        i = w_layout.party_index(wn)
+        j = z_layout.party_index(zn)
+        out += [(2 * i, 2 * j), (2 * i + 1, 2 * j + 1)]
+    return out
+
+
 def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
                    pairing: PartyPairing | None = None) -> ProcessMatrix:
     """Kronecker product of two processes, reordered into the merged-party
     layout (first factor's subsystem before the second's within each merged
     input and output). No term-rule check is performed here."""
-    pairing = _resolve_pairing(w, z, pairing)
+    pairing = _resolve_pairing(w.layout, z.layout, pairing)
     layout = combined_layout(w.layout, z.layout, pairing)
     raw = linalg.tensor(w.op, z.op)
     dims = w.layout.subsystem_dims() + z.layout.subsystem_dims()
     nw = 2 * w.layout.n_parties
-    perm = []
-    for wn, zn, _ in pairing.pairs:
-        i = w.layout.party_index(wn)
-        j = z.layout.party_index(zn)
-        perm += [2 * i, nw + 2 * j, 2 * i + 1, nw + 2 * j + 1]
+    perm = [k for a, b in _merged_subsystems(w.layout, z.layout, pairing)
+            for k in (a, nw + b)]
     return ProcessMatrix(layout=layout, op=linalg.permute_subsystems(raw, dims, perm))
 
 
-def _merged_tag(a: PartyTag, b: PartyTag) -> PartyTag:
-    return PartyTag(a | b)
+def _party_tags(indices: np.ndarray) -> np.ndarray:
+    """PartyTag value of each term (a row of basis indices) on each party."""
+    nonzero = (indices != 0).astype(np.int8)
+    return nonzero[:, 0::2] * int(PartyTag.IN) + nonzero[:, 1::2] * int(PartyTag.OUT)
 
 
-def _case_codes(sig_w: TermSignature, sig_z: TermSignature) -> tuple[tuple[str, str], ...]:
-    order = {"0": 0, "1": 1, "2": 2, "12": 3}
-    out = []
-    for a, b in zip(sig_w.tags, sig_z.tags):
-        pair = sorted((a.code, b.code), key=order.__getitem__)
-        out.append((pair[0], pair[1]))
-    return tuple(out)
+@dataclass(frozen=True, eq=False)
+class FactorRecord:
+    """Everything the product decisions need to know about one operator: its
+    coefficient tensor over the operator basis (shape ``(d_1^2, ...)`` over
+    the layout's subsystems), the extreme eigenvalues of its Hermitian part,
+    its Frobenius norm and its trace.
+
+    :meth:`of` reads them off an operator; :meth:`product` derives the record
+    of a tensor product from the records of its two factors.
+    """
+
+    layout: PartyLayout
+    coeffs: np.ndarray
+    lam_min: float
+    lam_max: float
+    norm: float
+    trace: float
+
+    @staticmethod
+    def of(w: ProcessMatrix) -> "FactorRecord":
+        lam_min, lam_max = linalg.eigenvalue_range(w.op)
+        return FactorRecord(
+            layout=w.layout,
+            coeffs=hsbasis.coefficient_tensor(w.op, w.layout.subsystem_dims()),
+            lam_min=lam_min,
+            lam_max=lam_max,
+            norm=linalg.frobenius(w.op),
+            trace=float(w.op.trace().real),
+        )
+
+    def terms(self, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Basis indices (one row per term, lexicographic order) and
+        coefficients of the terms with |coefficient| > ``tol`` (default:
+        :func:`~procval.hsbasis.default_term_tol`), the trivial term included."""
+        if tol is None:
+            return self._default_terms
+        c = self.coeffs
+        indices = np.argwhere((c > tol) | (c < -tol))
+        return indices, self.coeffs[tuple(indices.T)]
+
+    @cached_property
+    def _default_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.terms(hsbasis.default_term_tol(self.coeffs))
+
+    @cached_property
+    def valid(self) -> bool:
+        """The verdict of :func:`~procval.process.is_valid_process` with
+        default tolerances: PSD, trace equal to the output dimension, and
+        every nontrivial term a pure input on some party."""
+        tol = Tolerances()
+        tags = _party_tags(self.terms()[0])
+        allowed = (tags == PartyTag.IN).any(axis=1) | (tags == PartyTag.TRIVIAL).all(axis=1)
+        return bool(
+            -self.lam_min <= tol.psd_limit_at_norm(self.norm)
+            and abs(self.trace - self.layout.d_out) <= tol.trace_limit(self.layout.d_out)
+            and allowed.all()
+        )
+
+    def product(self, other: "FactorRecord", pairing: PartyPairing,
+                layout: PartyLayout) -> "FactorRecord":
+        """Record of the tensor product with ``other`` in the merged
+        ``layout``, without building the product operator."""
+        merged = _merged_subsystems(self.layout, other.layout, pairing)
+        w_axes, z_axes = zip(*merged)
+        n = len(merged)
+        # Outer product with the two parts of each merged subsystem adjacent.
+        x = (np.expand_dims(self.coeffs.transpose(w_axes), tuple(range(1, 2 * n, 2)))
+             * np.expand_dims(other.coeffs.transpose(z_axes), tuple(range(0, 2 * n, 2))))
+        w_dims = self.layout.subsystem_dims()
+        z_dims = other.layout.subsystem_dims()
+        for a, b in merged:
+            t = hsbasis.merge_matrix(w_dims[a], z_dims[b])
+            t = t.reshape(t.shape[0], -1)
+            # Contract the leading axis and append its merged axis at the end;
+            # after every subsystem the axes are back in merged order. Only
+            # the slices holding a nonzero coefficient are multiplied.
+            x = x.reshape(t.shape[1], -1)
+            live = np.flatnonzero(x.any(axis=0))
+            out = np.zeros((x.shape[1], t.shape[0]))
+            out[live] = x[:, live].T @ t.T
+            x = out
+        extremes = [p * q for p in (self.lam_min, self.lam_max)
+                    for q in (other.lam_min, other.lam_max)]
+        return FactorRecord(
+            layout=layout,
+            coeffs=x.reshape([d * d for d in layout.subsystem_dims()]),
+            lam_min=min(extremes),
+            lam_max=max(extremes),
+            norm=self.norm * other.norm,
+            trace=self.trace * other.trace,
+        )
 
 
 @dataclass(frozen=True)
@@ -142,6 +250,62 @@ class ProductReport:
     layout: PartyLayout
 
 
+def _nontrivial_terms(record: FactorRecord, party_order: list[int],
+                      tol: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices, coefficients and tags (parties in ``party_order``) of the
+    nontrivial terms of a record."""
+    indices, coeffs = record.terms(tol)
+    keep = indices.any(axis=1)
+    return indices[keep], coeffs[keep], _party_tags(indices[keep])[:, party_order]
+
+
+def _term(indices: np.ndarray, coeff) -> HSTerm:
+    return HSTerm(indices=tuple(int(i) for i in indices), coeff=float(coeff))
+
+
+def _report(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
+            tol: float | None) -> ProductReport:
+    """Blocking pairs of two records and their validity, in the report the
+    public product checks return."""
+    idx_w, c_w, tags_w = _nontrivial_terms(
+        w, [w.layout.party_index(p[0]) for p in pairing.pairs], tol)
+    idx_z, c_z, tags_z = _nontrivial_terms(
+        z, [z.layout.party_index(p[1]) for p in pairing.pairs], tol)
+    # Whether a pair blocks depends only on the two tag patterns, so decide
+    # the grid once per pattern pair and expand only the blocking ones.
+    pat_w, group_w = np.unique(tags_w, axis=0, return_inverse=True)
+    pat_z, group_z = np.unique(tags_z, axis=0, return_inverse=True)
+    group_w, group_z = group_w.reshape(-1), group_z.reshape(-1)
+    blocks = ((pat_w[:, None, :] | pat_z[None, :, :]) != PartyTag.IN).all(axis=2)
+    hits = [np.flatnonzero(blocks[g, group_z]) for g in range(len(pat_w))]
+
+    codes = [PartyTag(v).code for v in range(4)]
+    cases: dict[tuple[int, int], tuple[tuple[str, str], ...]] = {}
+    z_terms: dict[int, HSTerm] = {}
+    pairs, per_party = [], []
+    # Terms come in lexicographic index order, so the pairs do too.
+    for a in np.flatnonzero(blocks.any(axis=1)[group_w]):
+        gw = group_w[a]
+        tw = _term(idx_w[a], c_w[a])
+        for b in hits[gw]:
+            if b not in z_terms:
+                z_terms[b] = _term(idx_z[b], c_z[b])
+            key = (gw, group_z[b])
+            if key not in cases:
+                cases[key] = tuple((codes[min(p, q)], codes[max(p, q)])
+                                   for p, q in zip(pat_w[key[0]], pat_z[key[1]]))
+            pairs.append((tw, z_terms[b]))
+            per_party.append(cases[key])
+    return ProductReport(
+        verdict=not pairs,
+        blocking_pairs=tuple(pairs),
+        per_party_cases=tuple(per_party),
+        w_valid=w.valid,
+        z_valid=z.valid,
+        layout=combined_layout(w.layout, z.layout, pairing),
+    )
+
+
 def find_blocking_pairs(w: ProcessMatrix, z: ProcessMatrix,
                         pairing: PartyPairing | None = None,
                         tol: float | None = None) -> ProductReport:
@@ -152,38 +316,12 @@ def find_blocking_pairs(w: ProcessMatrix, z: ProcessMatrix,
     of the two tags is not a pure input; equivalently, when no party pairs a
     pure-input tag with a trivial or pure-input tag. The product is a valid
     process exactly when no blocking pair exists (for valid inputs).
-    Blocking pairs are reported in lexicographic index order.
+    Blocking pairs are reported in lexicographic index order. Each input is
+    decomposed and eigendecomposed once; ``w_valid``/``z_valid`` carry the
+    default-tolerance verdicts of :func:`~procval.process.is_valid_process`.
     """
-    pairing = _resolve_pairing(w, z, pairing)
-    layout = combined_layout(w.layout, z.layout, pairing)
-    w_idx = [w.layout.party_index(p[0]) for p in pairing.pairs]
-    z_idx = [z.layout.party_index(p[1]) for p in pairing.pairs]
-
-    w_terms = [(t, classify_term(t, w.layout)) for t in w.terms(tol=tol)]
-    z_terms = [(t, classify_term(t, z.layout)) for t in z.terms(tol=tol)]
-    w_terms = [(t, s) for t, s in w_terms if not s.is_trivial()]
-    z_terms = [(t, s) for t, s in z_terms if not s.is_trivial()]
-
-    blocking = []
-    for tw, sw in w_terms:
-        tags_w = [sw.tags[i] for i in w_idx]
-        for tz, sz in z_terms:
-            tags_z = [sz.tags[j] for j in z_idx]
-            merged = [_merged_tag(a, b) for a, b in zip(tags_w, tags_z)]
-            if all(tag != PartyTag.IN for tag in merged):
-                blocking.append((
-                    (tw, tz),
-                    _case_codes(TermSignature(tuple(tags_w)), TermSignature(tuple(tags_z))),
-                ))
-    blocking.sort(key=lambda item: (item[0][0].indices, item[0][1].indices))
-    return ProductReport(
-        verdict=not blocking,
-        blocking_pairs=tuple(pair for pair, _ in blocking),
-        per_party_cases=tuple(cases for _, cases in blocking),
-        w_valid=is_valid_process(w).verdict,
-        z_valid=is_valid_process(z).verdict,
-        layout=layout,
-    )
+    pairing = _resolve_pairing(w.layout, z.layout, pairing)
+    return _report(FactorRecord.of(w), FactorRecord.of(z), pairing, tol)
 
 
 def two_party_product_invalid(w: ProcessMatrix, z: ProcessMatrix,
@@ -231,9 +369,14 @@ def check_sequence(ps: Sequence[ProcessMatrix],
     Step k pairs the accumulated product with factor k+1 (positionally by
     default) and records its blocking-pair report; the overall verdict is the
     conjunction of the step verdicts. The final verdict does not depend on the
-    fold order: an invalidating pair survives any regrouping. The dense
-    operator of the last product is never materialized; only intermediate
-    products needed for later steps are built.
+    fold order: an invalidating pair survives any regrouping.
+
+    No product operator is built or eigendecomposed. Each distinct input is
+    reduced once to a :class:`FactorRecord`, and the accumulated product's
+    record is merged from its factors' records, so ``w_valid`` of step k is
+    decided from the factors alone. The merged coefficient tensor still has
+    one entry per basis term of the accumulated product, which is why
+    ``max_factors`` stays.
     """
     if len(ps) < 2:
         raise ValueError("need at least two processes to form a product")
@@ -242,17 +385,20 @@ def check_sequence(ps: Sequence[ProcessMatrix],
     if pairings is not None and len(pairings) != len(ps) - 1:
         raise ValueError(f"expected {len(ps) - 1} pairings, got {len(pairings)}")
 
+    records = {id(p): FactorRecord.of(p) for p in {id(p): p for p in ps}.values()}
     steps: list[ProductReport] = []
     first_bad: int | None = None
-    acc = ps[0]
+    acc = records[id(ps[0])]
     for k, nxt in enumerate(ps[1:]):
-        pairing = pairings[k] if pairings is not None else None
-        report = find_blocking_pairs(acc, nxt, pairing=pairing)
+        rec = records[id(nxt)]
+        pairing = _resolve_pairing(acc.layout, rec.layout,
+                                   pairings[k] if pairings is not None else None)
+        report = _report(acc, rec, pairing, tol=None)
         steps.append(report)
         if not report.verdict and first_bad is None:
             first_bad = k
         if k + 2 < len(ps):
-            acc = tensor_product(acc, nxt, pairing=pairing)
+            acc = acc.product(rec, pairing, report.layout)
     return SequenceReport(
         verdict=all(s.verdict for s in steps),
         steps=tuple(steps),

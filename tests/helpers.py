@@ -50,3 +50,29 @@ def suite_pairs(suite, seed: int = 7, n: int = 200):
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(suite), size=(n, 2))
     return [(suite[i], suite[j]) for i, j in idx]
+
+
+def loop_blocking_pairs(w, z, pairing=None, tol=None):
+    """Term-by-term reference for the blocking-pair search: every pair of
+    nontrivial terms of the two expansions, tagged with ``classify_term``.
+    Returns ((first indices, second indices), per-party cases) per blocking
+    pair, in lexicographic order."""
+    from procval import PartyPairing, PartyTag, classify_term
+
+    if pairing is None:
+        pairing = PartyPairing.positional(w.layout, z.layout)
+    w_idx = [w.layout.party_index(p[0]) for p in pairing.pairs]
+    z_idx = [z.layout.party_index(p[1]) for p in pairing.pairs]
+    out = []
+    for tw in w.terms(tol=tol):
+        sw = classify_term(tw, w.layout)
+        for tz in z.terms(tol=tol):
+            sz = classify_term(tz, z.layout)
+            if sw.is_trivial() or sz.is_trivial():
+                continue
+            tags = [(sw.tags[i], sz.tags[j]) for i, j in zip(w_idx, z_idx)]
+            if all(a | b != PartyTag.IN for a, b in tags):
+                cases = tuple(tuple(sorted((a.code, b.code), key=("0", "1", "2", "12").index))
+                              for a, b in tags)
+                out.append(((tw.indices, tz.indices), cases))
+    return sorted(out)

@@ -21,6 +21,11 @@ def docs(tmp_path):
     squared = tmp_path / "squared.procmat.json"
     squared.write_text(serialize(tensor_product(w, w)), encoding="utf-8")
     paths["squared"] = str(squared)
+    lines = serialize(w).splitlines(keepends=True)
+    lines[lines.index('    "entries": [\n') + 2] = "      [NaN, 0.0],\n"
+    nan = tmp_path / "nan.procmat.json"
+    nan.write_text("".join(lines), encoding="utf-8")
+    paths["nan"] = str(nan)
     truncated = tmp_path / "truncated.procmat.json"
     truncated.write_text(serialize(w)[:200], encoding="utf-8")
     paths["truncated"] = str(truncated)
@@ -173,6 +178,18 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "product"])
+def test_non_finite_entry_is_an_input_error(docs, capsys, command):
+    files = [docs["nan"]] * (2 if command == "product" else 1)
+    assert main([command, *files]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_oracle_never_passes_a_non_finite_entry(docs, capsys):
+    assert main(["oracle", docs["nan"], "--samples", "2"]) != 0
+    assert "PASS" not in capsys.readouterr().out
 
 
 def test_exit_code_contract_over_gallery(docs):

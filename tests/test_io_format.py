@@ -81,6 +81,15 @@ def test_malformed_number_reported_with_location():
     assert "entries[5]" in str(err.value)
 
 
+def test_integer_entry_beyond_double_range_reported_with_location():
+    w = gallery_entry("state-maxmix-d2").process
+    doc = json.loads(serialize(w))
+    doc["matrix"]["entries"][3] = [10 ** 400, 0]
+    with pytest.raises(MalformedDocumentError, match="double") as err:
+        parse(json.dumps(doc))
+    assert "entries[3]" in str(err.value)
+
+
 def test_invalid_json_reports_position():
     with pytest.raises(MalformedDocumentError, match="line"):
         parse('{"format_version": "procmat/1", ')

@@ -188,6 +188,21 @@ class TestMinEigenvalue:
         with pytest.raises(ValueError, match="Hermitian"):
             linalg.min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_range_matches_general_eigensolver(self):
+        rng = np.random.default_rng(11)
+        g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        m = (g + g.conj().T) / 2
+        reference = np.sort(np.linalg.eigvals(m).real)
+        lo, hi = linalg.eigenvalue_range(m)
+        assert (lo, hi) == pytest.approx((reference[0], reference[-1]), abs=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.min_eigenvalue(m)
+
 
 def test_hermiticity_defect():
     assert linalg.hermiticity_defect(np.eye(3)) == 0.0

@@ -190,6 +190,14 @@ class TestNormalizationOracle:
                   for chans in deterministic_battery(prod.layout)}
         assert ("route(2x2->swap)", "route(2x2->swap)") in labels
 
+    def test_non_finite_probability_fails(self):
+        w = twoway_channel_process(2)
+        op = w.op.copy()
+        op[0, 1] = np.nan
+        verdict = normalization_oracle(ProcessMatrix(w.layout, op), samples=3, seed=0)
+        assert verdict.max_deviation == np.inf
+        assert verdict.witness
+
     def test_sample_count_guard(self):
         with pytest.raises(ValueError):
             normalization_oracle(twoway_channel_process(2), samples=-1)

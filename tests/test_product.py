@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procval import (
     PartyLayout,
@@ -12,18 +13,28 @@ from procval import (
     check_sequence,
     find_blocking_pairs,
     gallery_entry,
+    hsbasis,
     is_valid_process,
     linalg,
     maximally_mixed,
     min_eigenvalue,
     oneway_channel_process,
+    random_valid_process,
     state_process,
     tensor_product,
     two_party_product_invalid,
     twoway_channel_process,
 )
+from procval.hsbasis import HSTerm
+from procval.product import FactorRecord
 
-from helpers import bipartite_qubit_suite, suite_pairs
+from helpers import (
+    BASE_NAMES,
+    bipartite_qubit_suite,
+    loop_blocking_pairs,
+    random_hermitian,
+    suite_pairs,
+)
 
 
 def one_party_state(diag):
@@ -147,6 +158,38 @@ class TestFindBlockingPairs:
             report = find_blocking_pairs(w, z)
             direct = is_valid_process(tensor_product(w, z))
             assert report.verdict == direct.verdict
+
+    def test_matches_term_loop_on_random_suite(self):
+        suite = bipartite_qubit_suite(seed=5, n_mixtures=6, n_random=6)
+        swapped = PartyPairing((("Y", "X", "B"), ("X", "Y", "A")))
+        for w, z in suite_pairs(suite, seed=11, n=60):
+            for pairing in (None, swapped):
+                report = find_blocking_pairs(w, z, pairing=pairing)
+                got = [((tw.indices, tz.indices), cases) for (tw, tz), cases
+                       in zip(report.blocking_pairs, report.per_party_cases)]
+                assert got == loop_blocking_pairs(w, z, pairing=pairing)
+                assert report.verdict == (not got)
+            assert report.w_valid == is_valid_process(w).verdict
+            assert report.z_valid == is_valid_process(z).verdict
+
+    def test_explicit_tol_matches_term_loop(self):
+        w = gallery_entry("oneway-xy-d2").process
+        z = random_valid_process(w.layout, seed=4, n_terms=20)
+        for tol in (0.0, 0.05, 0.2):
+            report = find_blocking_pairs(w, z, tol=tol)
+            got = [((tw.indices, tz.indices), cases) for (tw, tz), cases
+                   in zip(report.blocking_pairs, report.per_party_cases)]
+            assert got == loop_blocking_pairs(w, z, tol=tol)
+
+    @pytest.mark.parametrize("pattern", [(3, 0, 0, 0), (0, 0, 0, 0), (0, 3, 0, 3)],
+                             ids=["psd", "trace", "term"])
+    def test_input_validity_matches_is_valid_process(self, pattern):
+        w = twoway_channel_process(2)
+        bump = hsbasis.reconstruct([HSTerm(pattern, 0.5)], w.layout.subsystem_dims())
+        bad = ProcessMatrix(w.layout, w.op + bump)
+        assert not is_valid_process(bad).verdict
+        report = find_blocking_pairs(bad, w)
+        assert (report.w_valid, report.z_valid) == (False, True)
 
     def test_pair_tangled_on_a_third_party_blocks(self):
         # a pair can merge into a forbidden term even where both members act
@@ -280,3 +323,123 @@ class TestCheckSequence:
         s = one_party_state([0.5, 0.5])
         with pytest.raises(ValueError, match="factors"):
             check_sequence([s] * 9)
+
+
+def assert_fold_matches_dense(ps, pairings=None, built=None):
+    """Each step of ``check_sequence`` equals the blocking-pair search on the
+    dense accumulated product, built with ``tensor_product``, and its
+    ``w_valid`` equals ``is_valid_process`` of that operator. ``built`` maps
+    the factors of a prefix (by identity) to its dense product and verdict,
+    so positional folds that share prefixes build each product once."""
+    built = {} if built is None else built
+    report = check_sequence(ps, pairings=pairings)
+    assert len(report.steps) == len(ps) - 1
+    acc, acc_valid = ps[0], is_valid_process(ps[0]).verdict
+    first_bad = None
+    for k, (step, nxt) in enumerate(zip(report.steps, ps[1:])):
+        pairing = pairings[k] if pairings is not None else None
+        dense = find_blocking_pairs(acc, nxt, pairing=pairing)
+        assert step.verdict == dense.verdict
+        assert ([(a.indices, b.indices) for a, b in step.blocking_pairs]
+                == [(a.indices, b.indices) for a, b in dense.blocking_pairs])
+        for got, want in zip(step.blocking_pairs, dense.blocking_pairs):
+            for a, b in zip(got, want):
+                assert abs(a.coeff - b.coeff) <= 1e-12
+        assert step.per_party_cases == dense.per_party_cases
+        assert step.layout == dense.layout
+        assert step.w_valid == dense.w_valid == acc_valid
+        assert step.z_valid == dense.z_valid
+        if not dense.verdict and first_bad is None:
+            first_bad = k
+        if k + 2 < len(ps):
+            key = tuple(id(p) for p in ps[:k + 2])
+            if key not in built:
+                prod = tensor_product(acc, nxt, pairing=pairing)
+                built[key] = (prod, is_valid_process(prod).verdict)
+            acc, acc_valid = built[key]
+    assert report.first_invalid_step == first_bad
+    assert report.verdict == (first_bad is None)
+
+
+class TestSequenceMatchesDenseProducts:
+    def test_every_ordered_qubit_triple(self):
+        procs = [gallery_entry(n).process for n in BASE_NAMES]
+        built = {}
+        for triple in itertools.product(procs, repeat=3):
+            assert_fold_matches_dense(list(triple), built=built)
+
+    def test_qutrit_fold(self):
+        names = ("state-bell-d2", "twoway-d3", "oneway-yx-d2")
+        assert_fold_matches_dense([gallery_entry(n).process for n in names])
+
+    def test_non_positional_pairings(self):
+        ps = [gallery_entry(n).process
+              for n in ("oneway-xy-d2", "twoway-d2", "state-bell-d2")]
+        pairings = [PartyPairing((("Y", "X", "B"), ("X", "Y", "A"))),
+                    PartyPairing((("A", "Y", "P"), ("B", "X", "Q")))]
+        assert_fold_matches_dense(ps, pairings=pairings)
+        assert not check_sequence(ps, pairings=pairings).verdict
+
+    def test_one_dimensional_ends_crossed(self):
+        layout = PartyLayout.of(("P", 1, 2), ("M", 2, 1))
+        prep = state_process(np.diag([0.9, 0.1]).astype(complex), layout)
+        ident = np.zeros((4, 4), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                ident[i * 2 + i, j * 2 + j] = 1.0
+        chan = ProcessMatrix(layout, ident)
+        crossed = PartyPairing((("M", "P", "A"), ("P", "M", "B")))
+        straight = PartyPairing((("A", "P", "C"), ("B", "M", "D")))
+        assert_fold_matches_dense([chan, prep, chan], pairings=[crossed, straight])
+        assert_fold_matches_dense([chan, chan, chan], pairings=[crossed, straight])
+
+
+@st.composite
+def _layouts(draw, n_parties):
+    dims = draw(st.lists(st.sampled_from([1, 1, 1, 2, 2, 3]), min_size=2 * n_parties,
+                         max_size=2 * n_parties).filter(lambda d: 2 <= np.prod(d) <= 16))
+    return PartyLayout.of(*((name, dims[2 * k], dims[2 * k + 1])
+                            for k, name in enumerate("ABC"[:n_parties])))
+
+
+@st.composite
+def _operators(draw, layout):
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        return random_valid_process(layout, seed=seed, n_terms=draw(st.integers(1, 12)))
+    return ProcessMatrix(layout, random_hermitian(layout.dim, np.random.default_rng(seed)))
+
+
+@st.composite
+def _factor_pairs(draw):
+    n = draw(st.integers(1, 3))
+    w = draw(_operators(draw(_layouts(n))))
+    z = draw(_operators(draw(_layouts(n))))
+    order = draw(st.permutations(range(n)))
+    pairing = PartyPairing(tuple(
+        (w.layout.names[k], z.layout.names[order[k]], f"M{k}") for k in range(n)))
+    return w, z, pairing
+
+
+class TestFactorRecord:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_factor_pairs())
+    def test_merge_equals_built_product(self, case):
+        w, z, pairing = case
+        built = tensor_product(w, z, pairing=pairing)
+        rec = FactorRecord.of(w).product(FactorRecord.of(z), pairing, built.layout)
+        want = hsbasis.coefficient_tensor(built.op, built.layout.subsystem_dims())
+        assert rec.coeffs.shape == want.shape
+        assert np.abs(rec.coeffs - want).max() <= 1e-12
+        lam = np.linalg.eigvalsh(built.op)
+        scale = max(1.0, float(np.abs(lam).max()))
+        assert abs(rec.lam_min - lam[0]) <= 1e-12 * scale
+        assert abs(rec.lam_max - lam[-1]) <= 1e-12 * scale
+        assert rec.norm == pytest.approx(np.linalg.norm(built.op), rel=1e-12)
+        assert rec.trace == pytest.approx(built.op.trace().real, rel=1e-12, abs=1e-12)
+        assert rec.valid == is_valid_process(built).verdict
+
+    def test_gallery_validity_matches_is_valid_process(self):
+        for name in ("twoway-d2", "twoway-d3", "state-maxmix-d2", "oneway-xy-d2"):
+            w = gallery_entry(name).process
+            assert FactorRecord.of(w).valid == is_valid_process(w).verdict
