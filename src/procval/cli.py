@@ -108,6 +108,13 @@ def cmd_decompose(args) -> int:
     return _emit(args, payload, lines)
 
 
+def _party_name(layout, name: str) -> str:
+    """``name`` when it names a party of ``layout``; else an input error."""
+    if name not in layout.names:
+        raise ValueError(f"unknown party {name!r} (have {list(layout.names)})")
+    return name
+
+
 def _parse_pairing(text: str, w, z) -> PartyPairing:
     pairs = []
     for chunk in text.split(","):
@@ -121,7 +128,7 @@ def _parse_pairing(text: str, w, z) -> PartyPairing:
             zn, name = rest.split(":", 1)
         else:
             zn, name = rest, None
-        wn, zn = wn.strip(), zn.strip()
+        wn, zn = _party_name(w.layout, wn.strip()), _party_name(z.layout, zn.strip())
         pairs.append((wn, zn, name or (wn if wn == zn else wn + zn)))
     if len(pairs) != w.layout.n_parties:
         raise ValueError(
@@ -217,7 +224,7 @@ def cmd_oracle(args) -> int:
     return _emit(args, payload, lines)
 
 
-def _parse_keep(specs: list[str]) -> dict[str, PartyReduction]:
+def _parse_keep(specs: list[str], layout) -> dict[str, PartyReduction]:
     out: dict[str, PartyReduction] = {}
     for entry in specs:
         if "=" not in entry:
@@ -235,17 +242,20 @@ def _parse_keep(specs: list[str]) -> dict[str, PartyReduction]:
         def factors(text: str) -> tuple[int, ...]:
             return tuple(int(x) for x in text.lower().split("x"))
 
-        out[name.strip()] = PartyReduction(
-            in_factors=factors(ins),
-            out_factors=factors(outs),
-            keep=tuple(int(x) for x in slots.split(",")),
-        )
+        try:
+            out[_party_name(layout, name.strip())] = PartyReduction(
+                in_factors=factors(ins),
+                out_factors=factors(outs),
+                keep=tuple(int(x) for x in slots.split(",")),
+            )
+        except IndexError as err:  # a keep slot out of range
+            raise ValueError(str(err)) from None
     return out
 
 
 def cmd_reduce(args) -> int:
     w = load_path(args.file)
-    keep = _parse_keep(args.keep)
+    keep = _parse_keep(args.keep, w.layout)
     reduced = reduced_process(w, keep)
     text = serialize(reduced)
     if args.out:
@@ -261,7 +271,10 @@ def cmd_gallery(args) -> int:
         for name in gallery_names():
             print(name)
         return 0
-    entry = gallery_entry(args.name)
+    try:
+        entry = gallery_entry(args.name)
+    except KeyError as err:
+        raise ValueError(err.args[0]) from None
     sys.stdout.write(serialize(entry.process, metadata={"description": entry.notes}
                                if args.describe else None))
     return 0
@@ -330,7 +343,7 @@ def main(argv=None) -> int:
         parser.error("gallery export needs an entry name")
     try:
         return args.func(args)
-    except (ProcmatError, OSError, ValueError, KeyError, IndexError) as err:
+    except (ProcmatError, OSError, ValueError) as err:
         print(f"procval: error: {err}", file=sys.stderr)
         return 2
 

@@ -7,15 +7,13 @@ Entry names are stable across releases; the CLI exports them by name.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import hsbasis, linalg
-from .hsbasis import HSTerm
-from .process import PartyLayout, ProcessMatrix, classify_term
+from .process import PartyLayout, ProcessMatrix, _allowed, _party_tags, _term
 
 __all__ = [
     "maximally_mixed",
@@ -125,16 +123,14 @@ def mixture(processes, weights=None) -> ProcessMatrix:
     return ProcessMatrix(layout=layout, op=op)
 
 
-def _allowed_patterns(layout: PartyLayout) -> list[tuple[int, ...]]:
+def _allowed_patterns(layout: PartyLayout) -> np.ndarray:
+    """Basis indices of the nontrivial terms the term rule allows, one row
+    per term in lexicographic order."""
     sizes = [d * d for d in layout.subsystem_dims()]
     if int(np.prod(sizes)) > (1 << 16):
         raise ValueError("layout too large to enumerate term patterns densely")
-    patterns = []
-    for idx in itertools.product(*(range(s) for s in sizes)):
-        sig = classify_term(HSTerm(idx, 1.0), layout)
-        if not sig.is_trivial() and sig.is_allowed():
-            patterns.append(idx)
-    return patterns
+    indices = np.argwhere(np.ones(sizes, dtype=bool))
+    return indices[_allowed(_party_tags(indices)) & indices.any(axis=1)]
 
 
 def random_valid_process(layout: PartyLayout, seed=None,
@@ -151,11 +147,8 @@ def random_valid_process(layout: PartyLayout, seed=None,
     patterns = _allowed_patterns(layout)
     n = min(n_terms, len(patterns))
     picks = rng.choice(len(patterns), size=n, replace=False)
-    terms = [
-        HSTerm(patterns[int(i)],
-               float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)))
-        for i in picks
-    ]
+    terms = [_term(patterns[i], rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0))
+             for i in picks]
     y = hsbasis.reconstruct(terms, layout.subsystem_dims())
     base = layout.d_out / layout.dim
     lam = linalg.min_eigenvalue(y)

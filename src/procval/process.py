@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -197,21 +198,13 @@ def classify_term(term: HSTerm, layout: PartyLayout) -> TermSignature:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Validity thresholds; ``None`` means scale-aware default."""
+    """Validity thresholds; ``None`` means the scale-aware default applied in
+    :meth:`FactorRecord.check`: PSD ``1e-9 * ||W||_F``, trace ``1e-9 * d_out``,
+    term pruning ``1e-9 * max(1, max |coeff|)``."""
 
     psd: float | None = None
     trace: float | None = None
     term: float | None = None
-
-    def psd_limit(self, op: np.ndarray) -> float:
-        return self.psd_limit_at_norm(linalg.frobenius(op))
-
-    def psd_limit_at_norm(self, norm: float) -> float:
-        """PSD threshold for an operator of Frobenius norm ``norm``."""
-        return self.psd if self.psd is not None else 1e-9 * norm
-
-    def trace_limit(self, d_out: int) -> float:
-        return self.trace if self.trace is not None else 1e-9 * d_out
 
 
 @dataclass(frozen=True)
@@ -222,6 +215,101 @@ class ValidityReport:
     forbidden_terms: tuple[tuple[HSTerm, TermSignature], ...]
 
 
+def _party_tags(indices: np.ndarray) -> np.ndarray:
+    """PartyTag value of each term (a row of basis indices) on each party."""
+    nonzero = (indices != 0).astype(np.int8)
+    return nonzero[:, 0::2] * int(PartyTag.IN) + nonzero[:, 1::2] * int(PartyTag.OUT)
+
+
+def _allowed(tags: np.ndarray) -> np.ndarray:
+    """The term rule on tag rows (parties along the last axis): a term is
+    allowed when it is trivial or a pure input on some party."""
+    return (tags == PartyTag.IN).any(axis=-1) | (tags == PartyTag.TRIVIAL).all(axis=-1)
+
+
+def _term_rows(coeffs: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices (one row per term, lexicographic order) and coefficients
+    of the terms with |coefficient| > ``tol`` (default:
+    :func:`~procval.hsbasis.default_term_tol`), the trivial term included."""
+    if tol is None:
+        tol = hsbasis.default_term_tol(coeffs)
+    indices = np.argwhere((coeffs > tol) | (coeffs < -tol))
+    return indices, coeffs[tuple(indices.T)]
+
+
+def _signalling(w: ProcessMatrix, tol: float | None) -> np.ndarray:
+    """Entry ``[i, j]`` is True when some term of ``w``'s expansion acts on
+    the output (or both ends) of party ``i`` and as a pure input on party
+    ``j``. Read off the tag rows of the coefficients; no spectrum is computed."""
+    coeffs = hsbasis.coefficient_tensor(w.op, w.layout.subsystem_dims())
+    tags = _party_tags(_term_rows(coeffs, tol)[0])
+    out = (tags & PartyTag.OUT) != 0
+    return (out[:, :, None] & (tags == PartyTag.IN)[:, None, :]).any(axis=0)
+
+
+def _term(indices: np.ndarray, coeff) -> HSTerm:
+    return HSTerm(indices=tuple(int(i) for i in indices), coeff=float(coeff))
+
+
+@dataclass(frozen=True, eq=False)
+class FactorRecord:
+    """Everything the validity and product decisions need to know about one
+    operator: its coefficient tensor over the operator basis (shape
+    ``(d_1^2, ...)`` over the layout's subsystems), the extreme eigenvalues
+    of its Hermitian part, its Frobenius norm and its trace.
+
+    :meth:`of` reads them off an operator; the record of a tensor product is
+    merged from its factors' records in :mod:`procval.product`.
+    """
+
+    layout: PartyLayout
+    coeffs: np.ndarray
+    lam_min: float
+    lam_max: float
+    norm: float
+    trace: float
+
+    @staticmethod
+    def of(w: ProcessMatrix) -> "FactorRecord":
+        lam_min, lam_max = linalg.eigenvalue_range(w.op)
+        return FactorRecord(
+            layout=w.layout,
+            coeffs=hsbasis.coefficient_tensor(w.op, w.layout.subsystem_dims()),
+            lam_min=lam_min,
+            lam_max=lam_max,
+            norm=linalg.frobenius(w.op),
+            trace=float(w.op.trace().real),
+        )
+
+    def terms(self, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_term_rows` of the coefficients; the default rows are cached."""
+        return self._default_terms if tol is None else _term_rows(self.coeffs, tol)
+
+    @cached_property
+    def _default_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        return _term_rows(self.coeffs, None)
+
+    def check(self, tolerances: Tolerances) -> tuple[bool, float, float, np.ndarray, np.ndarray]:
+        """The validity decision, and the one place the three thresholds of
+        ``tolerances`` are applied. Returns the verdict, the PSD defect (minus
+        the smallest eigenvalue), the trace defect, and the indices and
+        coefficients of the terms that break the term rule."""
+        indices, coeffs = self.terms(tolerances.term)
+        forbidden = ~_allowed(_party_tags(indices))
+        psd_defect = -self.lam_min
+        trace_defect = abs(self.trace - self.layout.d_out)
+        psd_tol = 1e-9 * self.norm if tolerances.psd is None else tolerances.psd
+        trace_tol = 1e-9 * self.layout.d_out if tolerances.trace is None else tolerances.trace
+        verdict = bool(psd_defect <= psd_tol and trace_defect <= trace_tol and not forbidden.any())
+        return verdict, psd_defect, trace_defect, indices[forbidden], coeffs[forbidden]
+
+    @cached_property
+    def valid(self) -> bool:
+        """The verdict of :func:`is_valid_process` with default tolerances,
+        decided without making any term objects."""
+        return self.check(Tolerances())[0]
+
+
 def is_valid_process(w: ProcessMatrix, tolerances: Tolerances | None = None) -> ValidityReport:
     """Decide whether ``w`` is a valid process.
 
@@ -229,28 +317,15 @@ def is_valid_process(w: ProcessMatrix, tolerances: Tolerances | None = None) -> 
     of output dimensions, and the term rule (every nontrivial expansion term
     must be a pure input on some party). ``psd_defect`` is minus the smallest
     eigenvalue; ``forbidden_terms`` lists each term violating the term rule
-    together with its signature.
+    together with its signature. The decision is :meth:`FactorRecord.check`
+    on ``w``'s record; term objects are made for the forbidden terms only.
     """
-    tolerances = tolerances or Tolerances()
-    lam_min = linalg.min_eigenvalue(w.op)
-    psd_defect = -lam_min
-    trace_defect = abs(float(w.op.trace().real) - w.d_out)
-    forbidden = []
-    for term in w.terms(tol=tolerances.term):
-        sig = classify_term(term, w.layout)
-        if not sig.is_allowed():
-            forbidden.append((term, sig))
-    verdict = (
-        psd_defect <= tolerances.psd_limit(w.op)
-        and trace_defect <= tolerances.trace_limit(w.d_out)
-        and not forbidden
-    )
-    return ValidityReport(
-        verdict=verdict,
-        psd_defect=psd_defect,
-        trace_defect=trace_defect,
-        forbidden_terms=tuple(forbidden),
-    )
+    verdict, psd_defect, trace_defect, indices, coeffs = (
+        FactorRecord.of(w).check(tolerances or Tolerances()))
+    signatures = (TermSignature(tuple(PartyTag(int(t)) for t in row))
+                  for row in _party_tags(indices))
+    return ValidityReport(verdict, psd_defect, trace_defect,
+                          tuple(zip(map(_term, indices, coeffs), signatures)))
 
 
 def signalling_directions(w: ProcessMatrix, frm: str, to: str,
@@ -262,11 +337,7 @@ def signalling_directions(w: ProcessMatrix, frm: str, to: str,
     j = w.layout.party_index(to)
     if i == j:
         raise ValueError("signalling needs two distinct parties")
-    for term in w.terms(tol=tol):
-        sig = classify_term(term, w.layout)
-        if sig.tags[i] & PartyTag.OUT and sig.tags[j] == PartyTag.IN:
-            return True
-    return False
+    return bool(_signalling(w, tol)[i, j])
 
 
 @dataclass(frozen=True)

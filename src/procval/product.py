@@ -10,20 +10,20 @@ into a term that is a pure input on no party. Such pairs are reported as
 blocking pairs.
 
 The decisions never build the product operator. Each factor is reduced once
-to a record: its coefficient tensor over the operator basis, the extreme
-eigenvalues of its Hermitian part, its Frobenius norm and its trace. The
-record of a product follows from the factors' records alone, because the
-coefficients merge subsystem by subsystem through
-:func:`~procval.hsbasis.merge_matrix`, the eigenvalues of ``W (x) Z`` are the
-products of theirs, and norm and trace multiply. :func:`tensor_product` still
-builds the dense operator; together with :func:`~procval.process.is_valid_process`
-it is the independent reference the structural path is checked against.
+to a :class:`~procval.process.FactorRecord` (coefficient tensor, extreme
+eigenvalues, Frobenius norm, trace), the record that
+:func:`~procval.process.is_valid_process` also reads. A product's record
+follows from its factors' records: coefficients merge subsystem by subsystem
+through :func:`~procval.hsbasis.merge_matrix`, and eigenvalues, norm and trace
+multiply. The independent references are the dense :func:`tensor_product`
+plus coefficient extraction, the term loops in ``tests/helpers.py`` and
+``bench/reference.py``. ``max_factors`` stays because the blocking pairs of
+later fold steps enumerate the terms of the merged product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,12 +31,15 @@ import numpy as np
 from . import hsbasis, linalg
 from .hsbasis import HSTerm
 from .process import (
+    FactorRecord,
     Party,
     PartyLayout,
     PartyTag,
     ProcessMatrix,
-    Tolerances,
-    classify_term,
+    _allowed,
+    _party_tags,
+    _signalling,
+    _term,
 )
 
 __all__ = [
@@ -132,103 +135,39 @@ def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
     return ProcessMatrix(layout=layout, op=linalg.permute_subsystems(raw, dims, perm))
 
 
-def _party_tags(indices: np.ndarray) -> np.ndarray:
-    """PartyTag value of each term (a row of basis indices) on each party."""
-    nonzero = (indices != 0).astype(np.int8)
-    return nonzero[:, 0::2] * int(PartyTag.IN) + nonzero[:, 1::2] * int(PartyTag.OUT)
-
-
-@dataclass(frozen=True, eq=False)
-class FactorRecord:
-    """Everything the product decisions need to know about one operator: its
-    coefficient tensor over the operator basis (shape ``(d_1^2, ...)`` over
-    the layout's subsystems), the extreme eigenvalues of its Hermitian part,
-    its Frobenius norm and its trace.
-
-    :meth:`of` reads them off an operator; :meth:`product` derives the record
-    of a tensor product from the records of its two factors.
-    """
-
-    layout: PartyLayout
-    coeffs: np.ndarray
-    lam_min: float
-    lam_max: float
-    norm: float
-    trace: float
-
-    @staticmethod
-    def of(w: ProcessMatrix) -> "FactorRecord":
-        lam_min, lam_max = linalg.eigenvalue_range(w.op)
-        return FactorRecord(
-            layout=w.layout,
-            coeffs=hsbasis.coefficient_tensor(w.op, w.layout.subsystem_dims()),
-            lam_min=lam_min,
-            lam_max=lam_max,
-            norm=linalg.frobenius(w.op),
-            trace=float(w.op.trace().real),
-        )
-
-    def terms(self, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Basis indices (one row per term, lexicographic order) and
-        coefficients of the terms with |coefficient| > ``tol`` (default:
-        :func:`~procval.hsbasis.default_term_tol`), the trivial term included."""
-        if tol is None:
-            return self._default_terms
-        c = self.coeffs
-        indices = np.argwhere((c > tol) | (c < -tol))
-        return indices, self.coeffs[tuple(indices.T)]
-
-    @cached_property
-    def _default_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.terms(hsbasis.default_term_tol(self.coeffs))
-
-    @cached_property
-    def valid(self) -> bool:
-        """The verdict of :func:`~procval.process.is_valid_process` with
-        default tolerances: PSD, trace equal to the output dimension, and
-        every nontrivial term a pure input on some party."""
-        tol = Tolerances()
-        tags = _party_tags(self.terms()[0])
-        allowed = (tags == PartyTag.IN).any(axis=1) | (tags == PartyTag.TRIVIAL).all(axis=1)
-        return bool(
-            -self.lam_min <= tol.psd_limit_at_norm(self.norm)
-            and abs(self.trace - self.layout.d_out) <= tol.trace_limit(self.layout.d_out)
-            and allowed.all()
-        )
-
-    def product(self, other: "FactorRecord", pairing: PartyPairing,
-                layout: PartyLayout) -> "FactorRecord":
-        """Record of the tensor product with ``other`` in the merged
-        ``layout``, without building the product operator."""
-        merged = _merged_subsystems(self.layout, other.layout, pairing)
-        w_axes, z_axes = zip(*merged)
-        n = len(merged)
-        # Outer product with the two parts of each merged subsystem adjacent.
-        x = (np.expand_dims(self.coeffs.transpose(w_axes), tuple(range(1, 2 * n, 2)))
-             * np.expand_dims(other.coeffs.transpose(z_axes), tuple(range(0, 2 * n, 2))))
-        w_dims = self.layout.subsystem_dims()
-        z_dims = other.layout.subsystem_dims()
-        for a, b in merged:
-            t = hsbasis.merge_matrix(w_dims[a], z_dims[b])
-            t = t.reshape(t.shape[0], -1)
-            # Contract the leading axis and append its merged axis at the end;
-            # after every subsystem the axes are back in merged order. Only
-            # the slices holding a nonzero coefficient are multiplied.
-            x = x.reshape(t.shape[1], -1)
-            live = np.flatnonzero(x.any(axis=0))
-            out = np.zeros((x.shape[1], t.shape[0]))
-            out[live] = x[:, live].T @ t.T
-            x = out
-        extremes = [p * q for p in (self.lam_min, self.lam_max)
-                    for q in (other.lam_min, other.lam_max)]
-        return FactorRecord(
-            layout=layout,
-            coeffs=x.reshape([d * d for d in layout.subsystem_dims()]),
-            lam_min=min(extremes),
-            lam_max=max(extremes),
-            norm=self.norm * other.norm,
-            trace=self.trace * other.trace,
-        )
+def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
+                   layout: PartyLayout) -> FactorRecord:
+    """Record of the tensor product of two records in the merged ``layout``,
+    without building the product operator."""
+    merged = _merged_subsystems(w.layout, z.layout, pairing)
+    w_axes, z_axes = zip(*merged)
+    n = len(merged)
+    # Outer product with the two parts of each merged subsystem adjacent.
+    x = (np.expand_dims(w.coeffs.transpose(w_axes), tuple(range(1, 2 * n, 2)))
+         * np.expand_dims(z.coeffs.transpose(z_axes), tuple(range(0, 2 * n, 2))))
+    w_dims = w.layout.subsystem_dims()
+    z_dims = z.layout.subsystem_dims()
+    for a, b in merged:
+        t = hsbasis.merge_matrix(w_dims[a], z_dims[b])
+        t = t.reshape(t.shape[0], -1)
+        # Contract the leading axis and append its merged axis at the end;
+        # after every subsystem the axes are back in merged order. Only
+        # the slices holding a nonzero coefficient are multiplied.
+        x = x.reshape(t.shape[1], -1)
+        live = np.flatnonzero(x.any(axis=0))
+        out = np.zeros((x.shape[1], t.shape[0]))
+        out[live] = x[:, live].T @ t.T
+        x = out
+    extremes = [p * q for p in (w.lam_min, w.lam_max)
+                for q in (z.lam_min, z.lam_max)]
+    return FactorRecord(
+        layout=layout,
+        coeffs=x.reshape([d * d for d in layout.subsystem_dims()]),
+        lam_min=min(extremes),
+        lam_max=max(extremes),
+        norm=w.norm * z.norm,
+        trace=w.trace * z.trace,
+    )
 
 
 @dataclass(frozen=True)
@@ -259,10 +198,6 @@ def _nontrivial_terms(record: FactorRecord, party_order: list[int],
     return indices[keep], coeffs[keep], _party_tags(indices[keep])[:, party_order]
 
 
-def _term(indices: np.ndarray, coeff) -> HSTerm:
-    return HSTerm(indices=tuple(int(i) for i in indices), coeff=float(coeff))
-
-
 def _report(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
             tol: float | None) -> ProductReport:
     """Blocking pairs of two records and their validity, in the report the
@@ -276,7 +211,7 @@ def _report(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
     pat_w, group_w = np.unique(tags_w, axis=0, return_inverse=True)
     pat_z, group_z = np.unique(tags_z, axis=0, return_inverse=True)
     group_w, group_z = group_w.reshape(-1), group_z.reshape(-1)
-    blocks = ((pat_w[:, None, :] | pat_z[None, :, :]) != PartyTag.IN).all(axis=2)
+    blocks = ~_allowed(pat_w[:, None, :] | pat_z[None, :, :])
     hits = [np.flatnonzero(blocks[g, group_z]) for g in range(len(pat_w))]
 
     codes = [PartyTag(v).code for v in range(4)]
@@ -336,20 +271,8 @@ def two_party_product_invalid(w: ProcessMatrix, z: ProcessMatrix,
     for p in (w, z):
         if p.layout.n_parties != 2:
             raise ValueError("this check applies to two-party processes only")
-
-    def directions(p: ProcessMatrix) -> set[str]:
-        dirs: set[str] = set()
-        for term in p.terms(tol=tol):
-            sig = classify_term(term, p.layout)
-            a, b = sig.tags
-            if a & PartyTag.OUT and b == PartyTag.IN:
-                dirs.add("ab")
-            if b & PartyTag.OUT and a == PartyTag.IN:
-                dirs.add("ba")
-        return dirs
-
-    dw, dz = directions(w), directions(z)
-    return bool(dw) and bool(dz) and (dw | dz) == {"ab", "ba"}
+    dw, dz = _signalling(w, tol), _signalling(z, tol)
+    return bool(dw.any() and dz.any() and (dw | dz)[[0, 1], [1, 0]].all())
 
 
 @dataclass(frozen=True)
@@ -372,11 +295,10 @@ def check_sequence(ps: Sequence[ProcessMatrix],
     fold order: an invalidating pair survives any regrouping.
 
     No product operator is built or eigendecomposed. Each distinct input is
-    reduced once to a :class:`FactorRecord`, and the accumulated product's
-    record is merged from its factors' records, so ``w_valid`` of step k is
-    decided from the factors alone. The merged coefficient tensor still has
-    one entry per basis term of the accumulated product, which is why
-    ``max_factors`` stays.
+    reduced once to a :class:`~procval.process.FactorRecord`, and the
+    accumulated product's record is merged from its factors' records, so
+    ``w_valid`` of step k is decided from the factors alone. The module
+    docstring says why ``max_factors`` stays.
     """
     if len(ps) < 2:
         raise ValueError("need at least two processes to form a product")
@@ -398,7 +320,7 @@ def check_sequence(ps: Sequence[ProcessMatrix],
         if not report.verdict and first_bad is None:
             first_bad = k
         if k + 2 < len(ps):
-            acc = acc.product(rec, pairing, report.layout)
+            acc = _merge_records(acc, rec, pairing, report.layout)
     return SequenceReport(
         verdict=all(s.verdict for s in steps),
         steps=tuple(steps),

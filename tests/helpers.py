@@ -76,3 +76,17 @@ def loop_blocking_pairs(w, z, pairing=None, tol=None):
                               for a, b in tags)
                 out.append(((tw.indices, tz.indices), cases))
     return sorted(out)
+
+
+def loop_forbidden_terms(w, tol=None):
+    """Term-by-term reference for the term rule: each term of the expansion
+    that ``classify_term`` does not allow, with its signature, in
+    lexicographic order, as ``is_valid_process`` reports them."""
+    from procval import classify_term
+
+    out = []
+    for term in w.terms(tol=tol):
+        sig = classify_term(term, w.layout)
+        if not sig.is_allowed():
+            out.append((term, sig))
+    return tuple(out)

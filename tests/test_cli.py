@@ -103,6 +103,12 @@ class TestProduct:
                      "--pairing", "X=X"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pairing", ["Q=X,Y=Y", "X=X,Y=Q"])
+    def test_unknown_pairing_party_exits_two(self, docs, capsys, pairing):
+        assert main(["product", docs["twoway-d2"], docs["twoway-d2"],
+                     "--pairing", pairing]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_direct_check_capped(self, docs, capsys):
         assert main(["product", docs["twoway-d2"], docs["twoway-d2"],
                      "--max-direct-dim", "64", "--json"]) == 1
@@ -146,6 +152,11 @@ class TestReduce:
                      "--keep", "X=2x2/4:0", "--keep", "Y=2x2:0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keep", ["Q=2x2:0", "X=2x2:2"])
+    def test_unknown_party_or_slot_exits_two(self, docs, capsys, keep):
+        assert main(["reduce", docs["twoway-d4"], "--keep", keep]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_write_to_file(self, docs, tmp_path):
         out = tmp_path / "reduced.procmat.json"
         assert main(["reduce", docs["twoway-d4"], "--keep", "X=2x2:0",
@@ -167,11 +178,23 @@ class TestGallery:
 
     def test_unknown_name(self, capsys):
         assert main(["gallery", "export", "nope"]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_export_needs_name(self):
         with pytest.raises(SystemExit) as err:
             main(["gallery", "export"])
         assert err.value.code == 2
+
+
+def test_library_key_error_is_not_an_input_error(docs, monkeypatch):
+    """Only errors in the input map to exit 2; a KeyError raised inside a
+    library call is a fault of the program and propagates."""
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("procval.cli.is_valid_process", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["validate", docs["twoway-d2"]])
 
 
 def test_usage_error_exits_two():

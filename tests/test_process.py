@@ -11,8 +11,11 @@ from procval import (
     PartyTag,
     ProcessMatrix,
     Tolerances,
+    check_sequence,
     classify_term,
+    find_blocking_pairs,
     gallery_entry,
+    hsbasis,
     is_valid_process,
     linalg,
     maximally_mixed,
@@ -21,11 +24,18 @@ from procval import (
     signalling_directions,
     state_process,
     tensor_product,
+    two_party_product_invalid,
     twoway_channel_process,
 )
 from procval.hsbasis import HSTerm
 
-from helpers import QUBIT_BIPARTITE
+from helpers import (
+    BASE_NAMES,
+    QUBIT_BIPARTITE,
+    bipartite_qubit_suite,
+    loop_forbidden_terms,
+    suite_pairs,
+)
 
 
 class TestLayout:
@@ -173,6 +183,61 @@ class TestIsValidProcess:
         assert is_valid_process(swapped_p).verdict == is_valid_process(p).verdict is False
 
 
+class TestForbiddenTerms:
+    """``is_valid_process`` lists the same forbidden terms, with the same
+    coefficients, signatures and order, as the term-by-term reference."""
+
+    def test_gallery_pair_products(self):
+        for a, b in itertools.product(BASE_NAMES, repeat=2):
+            p = tensor_product(gallery_entry(a).process, gallery_entry(b).process)
+            assert is_valid_process(p).forbidden_terms == loop_forbidden_terms(p), (a, b)
+
+    def test_random_suite_and_its_products(self):
+        suite = bipartite_qubit_suite()
+        products = [tensor_product(w, z) for w, z in suite_pairs(suite, n=40)]
+        assert any(loop_forbidden_terms(p) for p in products)
+        for w in suite + products:
+            assert is_valid_process(w).forbidden_terms == loop_forbidden_terms(w)
+
+
+class TestToleranceEdge:
+    """A forbidden output-only term ``eps * s_K`` on a maximally mixed process
+    flips every validity verdict at the documented term threshold
+    ``1e-9 * max(1, max |coeff|)``, here 1e-9: on the gallery's one-party
+    ``state-maxmix-d2`` (identity coefficient 0.5, ``K = (0, 3)``) and on the
+    two-party maximally mixed qubit process (identity coefficient 0.25,
+    ``K = (0, 3, 0, 3)``, output on both parties)."""
+
+    THRESHOLD = 1e-9
+
+    @staticmethod
+    def maxmix(n_parties):
+        if n_parties == 1:
+            return gallery_entry("state-maxmix-d2").process
+        rho = linalg.tensor(maximally_mixed(2), maximally_mixed(2))
+        return state_process(rho, QUBIT_BIPARTITE)
+
+    @pytest.mark.parametrize("n_parties, identity", [(1, 0.5), (2, 0.25)])
+    @pytest.mark.parametrize("factor, valid", [(0.5, True), (2.0, False)])
+    def test_verdicts_flip_at_term_threshold(self, n_parties, identity, factor, valid):
+        maxmix = self.maxmix(n_parties)
+        dims = maxmix.layout.subsystem_dims()
+        assert hsbasis.coefficient_tensor(maxmix.op, dims).max() == identity
+        eps = factor * self.THRESHOLD
+        kick_at = (0, 3) * n_parties
+        kick = hsbasis.reconstruct([HSTerm(kick_at, eps)], dims)
+        w = ProcessMatrix(maxmix.layout, maxmix.op + kick)
+        report = is_valid_process(w)
+        assert report.verdict is valid
+        if not valid:
+            ((term, sig),) = report.forbidden_terms
+            assert term.indices == kick_at
+            assert term.coeff == pytest.approx(eps, rel=1e-6)
+            assert sig.codes == ("2",) * n_parties
+        assert find_blocking_pairs(w, maxmix).w_valid is valid
+        assert check_sequence([w, maxmix]).steps[0].w_valid is valid
+
+
 class TestSignalling:
     def test_product_state_signals_nowhere(self):
         rho = linalg.tensor(maximally_mixed(2), maximally_mixed(2))
@@ -197,6 +262,15 @@ class TestSignalling:
     def test_same_party_rejected(self):
         with pytest.raises(ValueError):
             signalling_directions(twoway_channel_process(2), "X", "X")
+
+    def test_no_spectrum_is_computed(self, monkeypatch):
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("signalling questions need no spectrum")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        w = twoway_channel_process(2)
+        assert signalling_directions(w, "X", "Y")
+        assert two_party_product_invalid(w, w)
 
 
 class TestDegenerateParties:

@@ -26,7 +26,8 @@ from procval import (
     twoway_channel_process,
 )
 from procval.hsbasis import HSTerm
-from procval.product import FactorRecord
+from procval.process import FactorRecord
+from procval.product import _merge_records
 
 from helpers import (
     BASE_NAMES,
@@ -427,7 +428,7 @@ class TestFactorRecord:
     def test_merge_equals_built_product(self, case):
         w, z, pairing = case
         built = tensor_product(w, z, pairing=pairing)
-        rec = FactorRecord.of(w).product(FactorRecord.of(z), pairing, built.layout)
+        rec = _merge_records(FactorRecord.of(w), FactorRecord.of(z), pairing, built.layout)
         want = hsbasis.coefficient_tensor(built.op, built.layout.subsystem_dims())
         assert rec.coeffs.shape == want.shape
         assert np.abs(rec.coeffs - want).max() <= 1e-12
