@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .gallery import gallery_entry, gallery_names
 from .io_format import ProcmatError, load_path, serialize
@@ -214,7 +216,7 @@ def cmd_oracle(args) -> int:
                 "d_in": ch.d_in,
                 "d_out": ch.d_out,
                 "label": ch.label,
-                "choi": [[float(x.real), float(x.imag)] for x in ch.choi.reshape(-1)],
+                "choi": np.ascontiguousarray(ch.choi).view(np.float64).reshape(-1, 2).tolist(),
             }
             for ch in verdict.witness
         ],

@@ -12,7 +12,10 @@ declared order.
 
 from __future__ import annotations
 
+import itertools
 import json
+from typing import NoReturn
+
 import numpy as np
 
 from .process import Party, PartyLayout, ProcessMatrix
@@ -68,6 +71,37 @@ def _as_float(x, location: str) -> float:
                                      location) from None
 
 
+def _raise_first_bad_entry(entries: list) -> NoReturn:
+    """Error path of :func:`_entry_array`: name the first entry that is not a
+    ``[re, im]`` pair of numbers that fit a double."""
+    for i, pair in enumerate(entries):
+        loc = f"matrix.entries[{i}]"
+        _require(isinstance(pair, list) and len(pair) == 2,
+                 MalformedDocumentError, "entry must be a [re, im] pair", loc)
+        _as_float(pair[0], loc)
+        _as_float(pair[1], loc)
+    raise AssertionError("no malformed entry found")  # unreachable
+
+
+def _entry_array(entries: list) -> np.ndarray:
+    """The decoded ``[re, im]`` pairs as one complex128 array.
+
+    The structure is checked by whole-list passes before any value is
+    converted, because ``np.fromiter`` would also accept ``"1.5"`` and
+    ``True``. JSON arrays decode to ``list`` and JSON numbers to ``int`` or
+    ``float``, so comparing exact types matches the per-entry ``isinstance``
+    checks of the error path."""
+    values = itertools.chain.from_iterable
+    if not (set(map(type, entries)) == {list} and set(map(len, entries)) == {2}
+            and set(map(type, values(entries))) <= {float, int}):
+        _raise_first_bad_entry(entries)
+    try:
+        flat = np.fromiter(values(entries), dtype=np.float64, count=2 * len(entries))
+    except OverflowError:  # an integer beyond the double range
+        _raise_first_bad_entry(entries)
+    return flat.view(np.complex128)
+
+
 def parse_document(text: str) -> tuple[ProcessMatrix, dict]:
     """Parse a document, returning the process and its metadata block."""
     try:
@@ -116,12 +150,7 @@ def parse_document(text: str) -> tuple[ProcessMatrix, dict]:
              "matrix.entries must be a list", "matrix.entries")
     _require(len(entries) == dim * dim, DimensionError,
              f"expected {dim * dim} entries, got {len(entries)}", "matrix.entries")
-    op = np.empty(dim * dim, dtype=np.complex128)
-    for i, pair in enumerate(entries):
-        loc = f"matrix.entries[{i}]"
-        _require(isinstance(pair, list) and len(pair) == 2,
-                 MalformedDocumentError, "entry must be a [re, im] pair", loc)
-        op[i] = complex(_as_float(pair[0], loc), _as_float(pair[1], loc))
+    op = _entry_array(entries)
 
     metadata = doc.get("metadata", {})
     _require(isinstance(metadata, dict), MalformedDocumentError,
@@ -134,10 +163,25 @@ def parse(text: str) -> ProcessMatrix:
     return parse_document(text)[0]
 
 
-def _num(x: float) -> str:
-    if not np.isfinite(x):
+_CHUNK = 4096  # entries formatted per batch, bounding the temporary lists
+_ENTRY = "      [{!r}, {!r}]".format  # repr: the shortest round-trip decimal
+
+
+def _entry_lines(flat: np.ndarray) -> str:
+    """The entry lines of a flattened operator, comma-separated.
+
+    Each value goes through ``repr`` of its Python float, so ``-0.0`` and
+    every other value print exactly as a per-entry ``repr`` would; values
+    are never de-duplicated, since ``0.0 == -0.0`` but their text differs."""
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = flat[~finite][0]
+        x = bad.real if not np.isfinite(bad.real) else bad.imag
         raise ValueError(f"cannot serialize non-finite entry {x!r}")
-    return repr(float(x))  # shortest round-trip decimal
+    return ",\n".join(
+        ",\n".join(map(_ENTRY, flat.real[s:s + _CHUNK].tolist(),
+                       flat.imag[s:s + _CHUNK].tolist()))
+        for s in range(0, flat.size, _CHUNK))
 
 
 def serialize(w: ProcessMatrix, metadata: dict | None = None) -> str:
@@ -153,15 +197,12 @@ def serialize(w: ProcessMatrix, metadata: dict | None = None) -> str:
             f'"d_in": {p.d_in}, "d_out": {p.d_out}}}{sep}'
         )
     lines += ["  ],", '  "matrix": {', f'    "dim": {w.dim},', '    "entries": [']
-    flat = w.op.reshape(-1)
-    for i, z in enumerate(flat):
-        sep = "," if i + 1 < flat.size else ""
-        lines.append(f"      [{_num(z.real)}, {_num(z.imag)}]{sep}")
+    lines.append(_entry_lines(w.op.reshape(-1)))
     lines += ["    ]", "  }" + ("," if metadata else "")]
     if metadata:
         lines.append(f'  "metadata": {json.dumps(metadata, sort_keys=True)}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def load_path(path: str) -> ProcessMatrix:

@@ -90,3 +90,57 @@ def loop_forbidden_terms(w, tol=None):
         if not sig.is_allowed():
             out.append((term, sig))
     return tuple(out)
+
+
+def loop_parse_entries(text: str) -> np.ndarray:
+    """Entry-by-entry reference for reading ``matrix.entries`` of a
+    ``procmat/1`` document: the flat complex128 entries, or the
+    ``MalformedDocumentError`` of the first bad entry."""
+    import json
+
+    from procval.io_format import MalformedDocumentError
+
+    def as_float(x, loc):
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            raise MalformedDocumentError(f"expected a number, got {x!r}", loc)
+        try:
+            return float(x)
+        except OverflowError:
+            raise MalformedDocumentError("integer entry does not fit a double", loc) from None
+
+    entries = json.loads(text)["matrix"]["entries"]
+    op = np.empty(len(entries), dtype=np.complex128)
+    for i, pair in enumerate(entries):
+        loc = f"matrix.entries[{i}]"
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise MalformedDocumentError("entry must be a [re, im] pair", loc)
+        op[i] = complex(as_float(pair[0], loc), as_float(pair[1], loc))
+    return op
+
+
+def loop_serialize(w, metadata=None) -> str:
+    """Entry-by-entry reference for ``io_format.serialize``: one ``repr`` per
+    value, one line per entry."""
+    import json
+
+    def num(x):
+        if not np.isfinite(x):
+            raise ValueError(f"cannot serialize non-finite entry {x!r}")
+        return repr(float(x))
+
+    lines = ["{", '  "format_version": "procmat/1",', '  "parties": [']
+    n = len(w.layout.parties)
+    for i, p in enumerate(w.layout.parties):
+        sep = "," if i + 1 < n else ""
+        lines.append(f'    {{"name": {json.dumps(p.name)}, '
+                     f'"d_in": {p.d_in}, "d_out": {p.d_out}}}{sep}')
+    lines += ["  ],", '  "matrix": {', f'    "dim": {w.dim},', '    "entries": [']
+    flat = w.op.reshape(-1)
+    for i, z in enumerate(flat):
+        sep = "," if i + 1 < flat.size else ""
+        lines.append(f"      [{num(z.real)}, {num(z.imag)}]{sep}")
+    lines += ["    ]", "  }" + ("," if metadata else "")]
+    if metadata:
+        lines.append(f'  "metadata": {json.dumps(metadata, sort_keys=True)}')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -5,8 +5,15 @@ import json
 
 import pytest
 
-from procval import gallery_entry, serialize, tensor_product, twoway_channel_process
+from procval import (
+    gallery_entry,
+    normalization_oracle,
+    serialize,
+    tensor_product,
+    twoway_channel_process,
+)
 from procval.cli import main
+from procval.io_format import load_path
 
 
 @pytest.fixture()
@@ -129,6 +136,16 @@ class TestOracle:
         assert payload["max_deviation"] > 1e-6
         assert "route" in payload["witness_label"]
         assert payload["witness_channels"]
+
+    @pytest.mark.parametrize("name, samples", [("squared", 0), ("twoway-d2", 6)])
+    def test_witness_listing_is_each_choi_entry_as_re_im(self, docs, capsys, name, samples):
+        main(["oracle", docs[name], "--samples", str(samples), "--seed", "3", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        witness = normalization_oracle(load_path(docs[name]), samples=samples, seed=3).witness
+        assert witness and len(payload["witness_channels"]) == len(witness)
+        for listed, ch in zip(payload["witness_channels"], witness):
+            expect = [[float(x.real), float(x.imag)] for x in ch.choi.reshape(-1)]
+            assert json.dumps(listed["choi"]) == json.dumps(expect)
 
     def test_battery_only_run(self, docs):
         assert main(["oracle", docs["state-maxmix-d2"], "--samples", "0"]) == 0

@@ -1,16 +1,28 @@
 """Tests for the procmat/1 interchange format."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from procval import gallery_entry, gallery_names, parse, serialize
+from procval import (
+    PartyLayout,
+    ProcessMatrix,
+    gallery_entry,
+    gallery_names,
+    parse,
+    serialize,
+)
 from procval.io_format import (
     DimensionError,
     MalformedDocumentError,
     VersionError,
     parse_document,
 )
+
+from helpers import loop_parse_entries, loop_serialize
 
 
 @pytest.mark.parametrize("name", gallery_names())
@@ -125,3 +137,128 @@ def test_integer_entries_accepted_and_canonicalized():
     # reserialization writes floats
     assert '"entries"' in serialize(back)
     assert json.loads(serialize(back))["matrix"]["entries"][0] == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([True, 0.0], "expected a number, got True"),
+    ([0.0, False], "expected a number, got False"),
+    (["1.5", 0.0], "expected a number, got '1.5'"),
+    ([None, 0.0], "expected a number, got None"),
+    ([[0.0], 0.0], "expected a number, got [0.0]"),
+    ({"re": 0.0, "im": 0.0}, "entry must be a [re, im] pair"),
+    (0.5, "entry must be a [re, im] pair"),
+    ([0.5], "entry must be a [re, im] pair"),
+])
+def test_first_malformed_entry_reported_with_location(bad, message):
+    w = gallery_entry("state-maxmix-d2").process
+    doc = json.loads(serialize(w))
+    doc["matrix"]["entries"][5] = bad
+    doc["matrix"]["entries"][9] = "later"
+    with pytest.raises(MalformedDocumentError) as err:
+        parse(json.dumps(doc))
+    assert err.value.location == "matrix.entries[5]"
+    assert str(err.value) == f"{message} (at matrix.entries[5])"
+
+
+def test_wrong_pair_lengths_with_the_right_value_count():
+    # 3 + 1 values where 2 + 2 are due: a count over all values cannot see it.
+    w = gallery_entry("state-maxmix-d2").process
+    doc = json.loads(serialize(w))
+    doc["matrix"]["entries"][6:8] = [[1, 2, 3], [4]]
+    with pytest.raises(MalformedDocumentError, match="pair") as err:
+        parse(json.dumps(doc))
+    assert err.value.location == "matrix.entries[6]"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_entry_still_parses(value):
+    w = gallery_entry("twoway-d2").process
+    doc = json.loads(serialize(w))
+    doc["matrix"]["entries"][1] = [value, 0.0]
+    text = json.dumps(doc)
+    assert ("NaN" if math.isnan(value) else "Infinity") in text
+    expect = w.op.reshape(-1).copy()
+    expect[1] = value
+    assert parse(text).op.reshape(-1).tobytes() == expect.tobytes()
+
+
+def test_serialize_rejects_non_finite_entry_as_the_reference():
+    w = gallery_entry("twoway-d2").process
+    op = w.op.copy()
+    op[2, 3] = complex(0.5, math.nan)
+    op[4, 4] = math.inf
+    bad = ProcessMatrix(w.layout, op)
+    with pytest.raises(ValueError) as ref:
+        loop_serialize(bad)
+    with pytest.raises(ValueError) as err:
+        serialize(bad)
+    assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_gallery_documents_match_the_loop_reference(name):
+    entry = gallery_entry(name)
+    meta = {"description": entry.notes}
+    text = serialize(entry.process, metadata=meta)
+    assert text == loop_serialize(entry.process, metadata=meta)
+    assert parse(text).op.reshape(-1).tobytes() == loop_parse_entries(text).tobytes()
+
+
+def test_non_contiguous_operator_serializes_as_the_reference():
+    w = gallery_entry("oneway-xy-d2").process
+    t = ProcessMatrix(w.layout, w.op.T)
+    assert not t.op.flags.c_contiguous
+    assert serialize(t) == loop_serialize(t)
+
+
+# Values whose text or bits a formatter or reader could get wrong: signed
+# zeros, the smallest subnormal and the largest subnormal, the extremes near
+# the double range, decimals without an exact binary value, and integers that
+# are read as doubles (some above 2**53, where the conversion rounds).
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                  2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
+                  0.1, 0.2, 0.30000000000000004, 1 / 3, -2.5e-17,
+                  0, 1, -7, 2 ** 53 + 1, -(10 ** 20), 2 ** 1000]
+VALUES = (st.sampled_from(SPECIAL_VALUES)
+          | st.floats(allow_nan=False, allow_infinity=False)
+          | st.integers(-(2 ** 70), 2 ** 70))
+# Malformed entries and the integer beyond the double range.
+BAD_ENTRIES = [[True, 0.0], [0.0, None], ["1.5", 0.0], [[0.0], 0.0], "x",
+               [1.0], [1.0, 2.0, 3.0], [10 ** 400, 0]]
+LAYOUTS = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                   min_size=1, max_size=3).filter(
+    lambda dims: math.prod(a * b for a, b in dims) <= 81)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(dims=LAYOUTS, pool=st.lists(VALUES, min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1),
+       bad=st.none() | st.tuples(st.floats(0, 1, exclude_max=True),
+                                 st.sampled_from(BAD_ENTRIES)))
+def test_io_matches_the_loop_reference(dims, pool, seed, bad):
+    """On random layouts (one-dimensional ends included) and random values,
+    ``parse`` reads the bits and raises the errors of the entry-by-entry
+    reference, ``serialize`` writes its bytes, and the canonical text is a
+    fixed point."""
+    layout = PartyLayout.of(*((f"P{k}", a, b) for k, (a, b) in enumerate(dims)))
+    n = layout.dim ** 2
+    rng = np.random.default_rng(seed)
+    entries = [[pool[i], pool[j]] for i, j in rng.integers(len(pool), size=(n, 2)).tolist()]
+    if bad is not None:
+        entries[int(bad[0] * n)] = bad[1]
+    parties = [{"name": p.name, "d_in": p.d_in, "d_out": p.d_out} for p in layout.parties]
+    text = json.dumps({"format_version": "procmat/1", "parties": parties,
+                       "matrix": {"dim": layout.dim, "entries": entries}})
+    try:
+        expect = loop_parse_entries(text)
+    except MalformedDocumentError as ref:
+        with pytest.raises(MalformedDocumentError) as err:
+            parse(text)
+        assert (str(err.value), err.value.location) == (str(ref), ref.location)
+        return
+    w = parse(text)
+    assert w.layout == layout
+    assert w.op.reshape(-1).tobytes() == expect.tobytes()
+    canonical = serialize(w)
+    assert canonical == loop_serialize(ProcessMatrix(layout, expect.reshape(w.op.shape)))
+    assert serialize(parse(canonical)) == canonical

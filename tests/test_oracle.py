@@ -198,6 +198,19 @@ class TestNormalizationOracle:
         assert verdict.max_deviation == np.inf
         assert verdict.witness
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+    def test_deviation_is_linear_in_a_forbidden_kick(self, eps):
+        """Maximally mixed two-party qubit process plus ``eps`` times Z on both
+        outputs: p - 1 = eps * tr(Z N_X(I)) * tr(Z N_Y(I)), and a channel that
+        prepares |0> gives |tr(Z N(I))| = 2, the largest any channel gives, so
+        the worst deviation is exactly 4 * eps."""
+        maxmix = np.eye(16) / 4.0
+        z = np.diag([1.0, -1.0])
+        kick = linalg.tensor(np.eye(2), z, np.eye(2), z)
+        w = ProcessMatrix(QUBIT_BIPARTITE, maxmix + eps * kick)
+        verdict = normalization_oracle(w, samples=20, seed=0)
+        assert verdict.max_deviation == pytest.approx(4.0 * eps, rel=1e-6)
+
     def test_sample_count_guard(self):
         with pytest.raises(ValueError):
             normalization_oracle(twoway_channel_process(2), samples=-1)

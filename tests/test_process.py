@@ -201,7 +201,11 @@ class TestForbiddenTerms:
 
 
 class TestToleranceEdge:
-    """A forbidden output-only term ``eps * s_K`` on a maximally mixed process
+    """``is_valid_process``, ``find_blocking_pairs`` and ``check_sequence``
+    flip together at 0.5x and 2x of each default threshold of
+    ``FactorRecord.check``: PSD, trace and term.
+
+    A forbidden output-only term ``eps * s_K`` on a maximally mixed process
     flips every validity verdict at the documented term threshold
     ``1e-9 * max(1, max |coeff|)``, here 1e-9: on the gallery's one-party
     ``state-maxmix-d2`` (identity coefficient 0.5, ``K = (0, 3)``) and on the
@@ -234,6 +238,41 @@ class TestToleranceEdge:
             assert term.indices == kick_at
             assert term.coeff == pytest.approx(eps, rel=1e-6)
             assert sig.codes == ("2",) * n_parties
+        assert find_blocking_pairs(w, maxmix).w_valid is valid
+        assert check_sequence([w, maxmix]).steps[0].w_valid is valid
+
+    @pytest.mark.parametrize("factor, valid", [(0.5, True), (2.0, False)])
+    def test_verdicts_flip_at_psd_threshold(self, factor, valid):
+        """The input state ``diag(1 + d, 0, 0, -d)`` gives a process with the
+        single negative eigenvalue ``-d``, unit trace per output and only
+        input terms, so only the PSD limit ``1e-9 * ||W||_F`` decides."""
+        d = factor * 1e-9 * 2.0  # ||W||_F = 2 * ||rho||_F, and ||rho||_F = 1 + O(d)
+        rho = np.diag([1.0 + d, 0.0, 0.0, -d])
+        w = state_process(rho, QUBIT_BIPARTITE, tol=1e-6)
+        report = is_valid_process(w)
+        assert report.psd_defect == pytest.approx(factor * 1e-9 * np.linalg.norm(w.op), rel=1e-6)
+        assert report.trace_defect <= 1e-15
+        assert not report.forbidden_terms
+        assert report.verdict is valid
+        maxmix = self.maxmix(2)
+        assert find_blocking_pairs(w, maxmix).w_valid is valid
+        assert check_sequence([w, maxmix]).steps[0].w_valid is valid
+
+    @pytest.mark.parametrize("n_parties", [1, 2])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("factor, valid", [(0.5, True), (2.0, False)])
+    def test_verdicts_flip_at_trace_threshold(self, n_parties, sign, factor, valid):
+        """Adding ``t * I`` to a maximally mixed process moves only its trace,
+        by ``t * dim``; the trace limit is ``1e-9 * d_out``."""
+        maxmix = self.maxmix(n_parties)
+        layout = maxmix.layout
+        t = sign * factor * 1e-9 * layout.d_out / layout.dim
+        w = ProcessMatrix(layout, maxmix.op + t * np.eye(layout.dim))
+        report = is_valid_process(w)
+        assert report.trace_defect == pytest.approx(factor * 1e-9 * layout.d_out, rel=1e-6)
+        assert report.psd_defect < 0
+        assert not report.forbidden_terms
+        assert report.verdict is valid
         assert find_blocking_pairs(w, maxmix).w_valid is valid
         assert check_sequence([w, maxmix]).steps[0].w_valid is valid
 
