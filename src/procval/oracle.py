@@ -1,16 +1,17 @@
-"""Independent brute-force check that a candidate process yields normalized
+"""Independent check that a candidate process yields normalized
 probabilities for local trace-preserving operations.
 
 A tuple of local channels, one per party, is represented by Choi operators on
 (input x output); the outcome probability is trace(W * transpose(C_A x C_B x
-...)). For any valid process this equals 1 for every trace-preserving tuple,
-so the maximum deviation |p - 1| over sampled and hand-picked tuples is an
-implementation-independent validity probe.
+...)). A PSD operator is a valid process exactly when this is 1 for every
+tuple. It is affine in each party's channel, so the sweep, every tuple from
+one set per party whose affine hull holds all of that party's channels,
+decides it exactly. Sets are built from matrix units, not from
+:mod:`procval.hsbasis`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .process import PartyLayout, ProcessMatrix
+from .process import ProcessMatrix
 
 __all__ = [
     "ChoiChannel",
@@ -27,10 +28,8 @@ __all__ = [
     "depolarizing_channel",
     "prepare_channel",
     "unitary_channel",
-    "routing_swap_channel",
     "random_cptp",
     "probability",
-    "deterministic_battery",
     "normalization_oracle",
 ]
 
@@ -103,18 +102,6 @@ def unitary_channel(u: np.ndarray, label: str = "unitary") -> ChoiChannel:
     return ChoiChannel(d_in=d_in, d_out=d_out, choi=np.outer(v, v.conj()), label=label)
 
 
-def routing_swap_channel(s: int, t: int) -> ChoiChannel:
-    """Unitary channel on an (s x t)-factored system that forwards the first
-    input factor to the second output slot and vice versa."""
-    d = s * t
-    u = np.zeros((d, d), dtype=np.complex128)
-    for i in range(s):
-        for j in range(t):
-            u[j * s + i, i * t + j] = 1.0
-    return ChoiChannel(d_in=d, d_out=d, choi=unitary_channel(u).choi,
-                       label=f"route({s}x{t}->swap)")
-
-
 def random_cptp(d_in: int, d_out: int, env_dim: int | None = None,
                 seed=None) -> ChoiChannel:
     """Sample a random channel by the Stinespring construction.
@@ -174,27 +161,83 @@ def probability(w: ProcessMatrix, channels: Sequence[ChoiChannel]) -> float:
     return float(p.real)
 
 
-def _party_battery(party) -> list[ChoiChannel]:
-    chans: list[ChoiChannel] = []
-    if party.d_in == party.d_out:
-        chans.append(identity_channel(party.d_in))
-        # Cross-routing over every nontrivial factor split closes potential
-        # feedback loops in merged-party layouts.
-        for s in range(2, party.d_in):
-            if party.d_in % s == 0 and party.d_in // s >= 2:
-                chans.append(routing_swap_channel(s, party.d_in // s))
-    chans.append(depolarizing_channel(party.d_in, party.d_out))
-    for k in range(min(party.d_out, 4)):
-        chans.append(prepare_channel(party.d_in, party.d_out, k))
-    return chans
+def _hermitian_units(d: int) -> tuple[np.ndarray, list[str]]:
+    """The Hermitian matrix units |j><j|, then |j><k|+|k><j| and
+    i|j><k|-i|k><j| (j < k), with their labels."""
+    e, (j, k) = np.eye(d), np.triu_indices(d, 1)
+    jk = e[j, :, None] * e[k, None, :]  # the |j><k|, j < k
+    kj = jk.transpose(0, 2, 1)
+    units = np.concatenate([e[:, :, None] * e[:, None, :], jk + kj, 1j * (jk - kj)])
+    labels = [f"|{i}><{i}|" for i in range(d)] + [f"|{a}><{b}|+|{b}><{a}|" for a, b in zip(j, k)]
+    return units, labels + [f"i|{a}><{b}|-i|{b}><{a}|" for a, b in zip(j, k)]
 
 
-def deterministic_battery(layout: PartyLayout,
-                          cap: int = 1024) -> list[tuple[ChoiChannel, ...]]:
-    """Hand-picked channel tuples: identities, factor-swap routings,
-    depolarizers and basis preparations, combined across parties (capped)."""
-    per_party = [_party_battery(p) for p in layout.parties]
-    return list(itertools.islice(itertools.product(*per_party), cap))
+@dataclass(frozen=True, eq=False)
+class _PartySweep:
+    """Sweep set of a (d_in -> d_out) party: the preparations I x |k><k|, then
+    I x I/d_out + (h x s)/d_out for h a Hermitian unit of the input and s one
+    of |k><k|-|k+1><k+1| or an off-diagonal unit of the output. ||h x s|| <= 1
+    and tr(s) = 0 make each a channel; the affine rank is d_in^2 (d_out^2 - 1)
+    + 1, one more than the channel set's dimension. Member m is I x I/d_out +
+    in_rows[i] x out_rows[o], with (i, o) = divmod(pair[m], len(out_rows))."""
+
+    in_rows: np.ndarray  # I, then the h
+    out_rows: np.ndarray  # I/d_out, the |k><k| - I/d_out, then the s/d_out
+    labels: tuple[list[str], list[str]]  # of the h and of the s
+    pair: np.ndarray
+
+    @staticmethod
+    def of(d_in: int, d_out: int) -> "_PartySweep":
+        hs, h_labels = _hermitian_units(d_in)
+        us, u_labels = _hermitian_units(d_out)
+        mix = np.eye(d_out) / d_out
+        ss = np.concatenate([us[:d_out - 1] - us[1:d_out], us[d_out:]])
+        s_labels = [f"{a}-{b}" for a, b in zip(u_labels, u_labels[1:d_out])] + u_labels[d_out:]
+        tilts = np.add.outer(np.arange(1, 1 + d_in * d_in) * (1 + d_out + len(ss)),
+                             np.arange(1 + d_out, 1 + d_out + len(ss)))
+        return _PartySweep(np.concatenate([np.eye(d_in)[None], hs]),
+                           np.concatenate([mix[None], us[:d_out] - mix, ss / d_out]),
+                           (h_labels, s_labels), np.r_[1:1 + d_out, tilts.ravel()])
+
+    def channel(self, m: int) -> ChoiChannel:
+        d_in, d_out = len(self.in_rows[0]), len(self.out_rows[0])
+        if m < d_out:
+            return prepare_channel(d_in, d_out, m)
+        i, o = divmod(int(self.pair[m]), len(self.out_rows))
+        choi = depolarizing_channel(d_in, d_out).choi + np.kron(self.in_rows[i], self.out_rows[o])
+        h, s = self.labels[0][i - 1], self.labels[1][o - 1 - d_out]
+        return ChoiChannel(d_in, d_out, choi, label=f"I/{d_out}+({h})x({s})/{d_out}")
+
+
+def _sweep_probabilities(w: ProcessMatrix, sweeps: Sequence[_PartySweep]) -> np.ndarray:
+    """p of every tuple of sweep members, flattened row-major, contracting W
+    with one subsystem's rows at a time: each intermediate has ~dim^2 entries."""
+    dims = w.layout.subsystem_dims()
+    # Each subsystem's row and column index side by side: (x1, x1', x2, x2', ...).
+    x = w.op.reshape(dims + dims).transpose(np.arange(2 * len(dims)).reshape(2, -1).T.ravel())
+    for sweep in sweeps:
+        for rows in (sweep.in_rows, sweep.out_rows):  # contract the leading axis, append the new
+            x = x.reshape(rows[0].size, -1).T @ rows.reshape(len(rows), -1).T
+        table = x.reshape(-1, len(sweep.in_rows) * len(sweep.out_rows))
+        x = table.take(sweep.pair, axis=1)  # C order, so the next reshape is a view
+        x += table[:, :1]  # p(I x I/d_out + X) = p(I x I/d_out) + p(X)
+        del table  # else it outlives the next contraction
+    return x.ravel()
+
+
+def _sweep(w: ProcessMatrix) -> tuple[float, tuple[ChoiChannel, ...], int]:
+    """Largest |p - 1| over the sweep, a tuple reaching it, the tuple count."""
+    sweeps = [_PartySweep.of(party.d_in, party.d_out) for party in w.layout.parties]
+    p = _sweep_probabilities(w, sweeps)
+    # probability's residue test; NaN compares false and counts as a deviation
+    residue = np.abs(p.imag) > 1e-10 * (1.0 + np.abs(p.real))
+    if residue.any():
+        raise ValueError(f"probability has imaginary residue {p.imag[residue][0]:.3e}")
+    dev = np.abs(p.real - 1.0)
+    dev[~np.isfinite(p)] = np.inf
+    at = int(np.argmax(dev))
+    members = np.unravel_index(at, [len(s.pair) for s in sweeps])
+    return float(dev[at]), tuple(s.channel(int(m)) for s, m in zip(sweeps, members)), dev.size
 
 
 @dataclass(frozen=True)
@@ -207,11 +250,10 @@ class OracleVerdict:
     evaluations: int
 
 
-def normalization_oracle(w: ProcessMatrix, samples: int = 200, seed: int = 0,
-                         include_battery: bool = True,
-                         env_dim: int | None = None) -> OracleVerdict:
-    """Probe probability normalization with random channel tuples plus the
-    deterministic battery.
+def normalization_oracle(w: ProcessMatrix, samples: int = 200,
+                         seed: int = 0) -> OracleVerdict:
+    """Probe probability normalization with the sweep, which decides it, plus
+    random channel tuples.
 
     Every tuple is trace preserving, so a valid process must give p = 1 each
     time; the report carries the worst deviation and its witness tuple. A
@@ -221,33 +263,24 @@ def normalization_oracle(w: ProcessMatrix, samples: int = 200, seed: int = 0,
     """
     if samples < 0:
         raise ValueError("sample count must be >= 0")
-    tuples: list[tuple[str, tuple[ChoiChannel, ...]]] = []
-    if include_battery:
-        for j, chans in enumerate(deterministic_battery(w.layout)):
-            label = "battery[" + ",".join(c.label for c in chans) + "]"
-            tuples.append((label, chans))
+    best, best_witness, n_sweep = _sweep(w)
+    best_label = "sweep[" + ",".join(c.label for c in best_witness) + "]"
     for k in range(samples):
         chans = tuple(
             random_cptp(
-                party.d_in, party.d_out, env_dim=env_dim,
+                party.d_in, party.d_out,
                 seed=np.random.SeedSequence(entropy=seed, spawn_key=(k, p)),
             )
             for p, party in enumerate(w.layout.parties)
         )
-        tuples.append((f"sample[{k}]", chans))
-
-    best = 0.0
-    best_witness: tuple[ChoiChannel, ...] = ()
-    best_label = "none"
-    for label, chans in tuples:
         dev = abs(probability(w, chans) - 1.0)
         if not math.isfinite(dev):
             dev = math.inf  # a non-finite probability is never normalized
         if dev > best:
-            best, best_witness, best_label = dev, chans, label
+            best, best_witness, best_label = dev, chans, f"sample[{k}]"
     return OracleVerdict(
         max_deviation=best,
         witness=best_witness,
         witness_label=best_label,
-        evaluations=len(tuples),
+        evaluations=n_sweep + samples,
     )

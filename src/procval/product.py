@@ -17,12 +17,13 @@ follows from its factors' records: coefficients merge subsystem by subsystem
 through :func:`~procval.hsbasis.merge_matrix`, and eigenvalues, norm and trace
 multiply. The independent references are the dense :func:`tensor_product`
 plus coefficient extraction, the term loops in ``tests/helpers.py`` and
-``bench/reference.py``. ``max_factors`` stays because the blocking pairs of
-later fold steps enumerate the terms of the merged product.
+``bench/reference.py``. A merged record holds one coefficient per term of the
+product, since later fold steps enumerate them, so its size is capped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -285,8 +286,7 @@ class SequenceReport:
 
 
 def check_sequence(ps: Sequence[ProcessMatrix],
-                   pairings: Sequence[PartyPairing | None] | None = None,
-                   max_factors: int = 8) -> SequenceReport:
+                   pairings: Sequence[PartyPairing | None] | None = None) -> SequenceReport:
     """Fold a list of processes into one product, checking each step.
 
     Step k pairs the accumulated product with factor k+1 (positionally by
@@ -297,13 +297,14 @@ def check_sequence(ps: Sequence[ProcessMatrix],
     No product operator is built or eigendecomposed. Each distinct input is
     reduced once to a :class:`~procval.process.FactorRecord`, and the
     accumulated product's record is merged from its factors' records, so
-    ``w_valid`` of step k is decided from the factors alone. The module
-    docstring says why ``max_factors`` stays.
+    ``w_valid`` of step k is decided from the factors alone. A fold whose last
+    merged record would exceed 2**24 coefficients is refused up front.
     """
     if len(ps) < 2:
         raise ValueError("need at least two processes to form a product")
-    if len(ps) > max_factors:
-        raise ValueError(f"refusing to fold more than {max_factors} factors")
+    if math.prod(p.dim for p in ps[:-1]) ** 2 > 2**24:  # 134 MB; admits [twoway-d2]*4
+        raise ValueError(f"refusing to fold factors of dims {[p.dim for p in ps]}: the "
+                         "last merged record would hold more than 2**24 coefficients")
     if pairings is not None and len(pairings) != len(ps) - 1:
         raise ValueError(f"expected {len(ps) - 1} pairings, got {len(pairings)}")
 

@@ -9,6 +9,10 @@ from procval import PartyLayout, gallery_entry, mixture, random_valid_process
 
 QUBIT_BIPARTITE = PartyLayout.of(("X", 2, 2), ("Y", 2, 2))
 
+# Oracle witness of the squared two-way channel process at zero samples: the
+# first sweep tuple (row-major over the party axes) with the largest deviation.
+SQUARED_TWOWAY_WITNESS = "sweep[I/4+(|0><0|)x(|1><1|-|2><2|)/4,I/4+(|0><0|)x(|1><1|-|2><2|)/4]"
+
 BASE_NAMES = (
     "twoway-d2",
     "oneway-xy-d2",

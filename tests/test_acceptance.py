@@ -30,7 +30,7 @@ from procval import (
 )
 from procval.cli import main as cli_main
 
-from helpers import bipartite_qubit_suite, suite_pairs
+from helpers import SQUARED_TWOWAY_WITNESS, bipartite_qubit_suite, suite_pairs
 
 
 def criterion(n, desc):
@@ -125,16 +125,16 @@ def test_criterion_4_two_party_shortcut(pairs):
         assert find_blocking_pairs(chans[i], chans[j]).verdict == (not invalid)
 
 
-@criterion(5, "oracle: valid members within 1e-9; squared mixture exposed by battery")
+@criterion(5, "oracle: valid members within 1e-9; squared mixture exposed at --samples 0")
 def test_criterion_5_oracle_agreement(suite):
     for k, w in enumerate(suite):
         verdict = normalization_oracle(w, samples=200, seed=1000 + k)
         assert verdict.max_deviation < 1e-9, (k, verdict.max_deviation)
     w = twoway_channel_process(2)
     verdict = normalization_oracle(tensor_product(w, w), samples=0, seed=0)
-    assert verdict.max_deviation > 1e-6
+    assert verdict.max_deviation == pytest.approx(2.0 ** -7, abs=1e-12)
     assert verdict.witness
-    assert "route" in verdict.witness_label
+    assert verdict.witness_label == SQUARED_TWOWAY_WITNESS
 
 
 @criterion(6, "merged-party process reduces to the qubit process on both halves")

@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface and its exit-code
 contract (0 = valid/pass, 1 = invalid/fail, 2 = usage/input error)."""
 
+import itertools
 import json
 
 import pytest
 
 from procval import (
     gallery_entry,
+    gallery_names,
     normalization_oracle,
     serialize,
     tensor_product,
@@ -14,6 +16,8 @@ from procval import (
 )
 from procval.cli import main
 from procval.io_format import load_path
+
+from helpers import BASE_NAMES, SQUARED_TWOWAY_WITNESS
 
 
 @pytest.fixture()
@@ -133,8 +137,8 @@ class TestOracle:
     def test_squared_twoway_fails_by_battery(self, docs, capsys):
         assert main(["oracle", docs["squared"], "--samples", "0", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["max_deviation"] > 1e-6
-        assert "route" in payload["witness_label"]
+        assert payload["max_deviation"] == pytest.approx(2.0 ** -7, abs=1e-12)
+        assert payload["witness_label"] == SQUARED_TWOWAY_WITNESS
         assert payload["witness_channels"]
 
     @pytest.mark.parametrize("name, samples", [("squared", 0), ("twoway-d2", 6)])
@@ -147,8 +151,32 @@ class TestOracle:
             expect = [[float(x.real), float(x.imag)] for x in ch.choi.reshape(-1)]
             assert json.dumps(listed["choi"]) == json.dumps(expect)
 
-    def test_battery_only_run(self, docs):
-        assert main(["oracle", docs["state-maxmix-d2"], "--samples", "0"]) == 0
+    def test_battery_only_run(self, docs, capsys):
+        assert main(["oracle", docs["state-maxmix-d2"], "--samples", "0", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["max_deviation"] <= 1e-12
+        assert payload["evaluations"] == 14
+
+    def test_zero_samples_agrees_with_validate(self, tmp_path, capsys):
+        """On every gallery entry and every ordered product of the two-party
+        qubit entries, ``oracle --samples 0`` exits as ``validate`` does, and
+        a valid input deviates by at most 1e-12."""
+        procs = {name: gallery_entry(name).process for name in gallery_names()}
+        for a, b in itertools.product(BASE_NAMES, repeat=2):
+            procs[f"{a}x{b}"] = tensor_product(procs[a], procs[b])
+        assert len(procs) == 8 + 25
+        codes = set()
+        for name, w in procs.items():
+            path = tmp_path / f"{name}.procmat.json"
+            path.write_text(serialize(w), encoding="utf-8")
+            code = main(["validate", str(path)])
+            codes.add(code)
+            capsys.readouterr()
+            assert main(["oracle", str(path), "--samples", "0", "--json"]) == code, name
+            payload = json.loads(capsys.readouterr().out)
+            if code == 0:
+                assert payload["max_deviation"] <= 1e-12, name
+        assert codes == {0, 1}
 
     def test_seed_env_default(self, docs, monkeypatch, capsys):
         monkeypatch.setenv("PROCVAL_SEED", "17")

@@ -19,15 +19,16 @@ from procval import (
 )
 from procval.hsbasis import HSTerm
 from procval.oracle import (
+    _PartySweep,
+    _sweep_probabilities,
     depolarizing_channel,
-    deterministic_battery,
     identity_channel,
     prepare_channel,
-    routing_swap_channel,
+    unitary_channel,
 )
 from procval.process import classify_term
 
-from helpers import QUBIT_BIPARTITE
+from helpers import QUBIT_BIPARTITE, SQUARED_TWOWAY_WITNESS
 
 
 class TestChannelConstructors:
@@ -50,18 +51,6 @@ class TestChannelConstructors:
         ch.validate()
         with pytest.raises(ValueError):
             prepare_channel(2, 2, 5)
-
-    def test_routing_swap(self):
-        ch = routing_swap_channel(2, 2)
-        ch.validate()
-        # forwarding both factors swaps a product input
-        swap = np.zeros((4, 4))
-        for i in range(2):
-            for j in range(2):
-                swap[j * 2 + i, i * 2 + j] = 1.0
-        rho = np.kron(np.diag([1.0, 0.0]), np.diag([0.25, 0.75]))
-        assert np.abs(swap @ rho @ swap.T
-                      - np.kron(np.diag([0.25, 0.75]), np.diag([1.0, 0.0]))).max() < 1e-14
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
@@ -122,7 +111,12 @@ class TestProbability:
     def test_loop_routing_breaks_normalization_of_squared_twoway(self):
         w = twoway_channel_process(2)
         prod = tensor_product(w, w)
-        swap = routing_swap_channel(2, 2)
+        # forwards the first input qubit to the second output slot and back
+        u = np.zeros((4, 4))
+        for i in range(2):
+            for j in range(2):
+                u[j * 2 + i, i * 2 + j] = 1.0
+        swap = unitary_channel(u, label="swap")
         p = probability(prod, [swap, swap])
         assert p == pytest.approx(1.5, abs=1e-12)
         # routing at only one merged party leaves the loop open
@@ -154,13 +148,18 @@ class TestNormalizationOracle:
             assert verdict.max_deviation < 1e-9, name
 
     def test_squared_twoway_caught_by_battery_alone(self):
+        """The sweep alone (no samples) exposes the loop, by exactly 2**-7."""
         w = twoway_channel_process(2)
         prod = tensor_product(w, w)
         verdict = normalization_oracle(prod, samples=0, seed=0)
         assert verdict.max_deviation > 1e-6
-        assert verdict.max_deviation == pytest.approx(0.5, abs=1e-10)
-        assert "route" in verdict.witness_label
+        assert verdict.max_deviation == pytest.approx(2.0 ** -7, abs=1e-12)
+        assert verdict.witness_label == SQUARED_TWOWAY_WITNESS
         assert len(verdict.witness) == 2
+        for ch in verdict.witness:
+            ch.validate()
+        assert abs(probability(prod, verdict.witness) - 1.0) == pytest.approx(2.0 ** -7,
+                                                                             abs=1e-12)
 
     def test_battery_only_on_valid_process(self):
         w = gallery_entry("state-maxmix-d2").process
@@ -183,12 +182,6 @@ class TestNormalizationOracle:
         w = ProcessMatrix(layout, phi)
         verdict = normalization_oracle(w, samples=30, seed=3)
         assert verdict.max_deviation < 1e-9
-
-    def test_battery_covers_merged_party_routings(self):
-        prod = tensor_product(twoway_channel_process(2), twoway_channel_process(2))
-        labels = {tuple(c.label for c in chans)
-                  for chans in deterministic_battery(prod.layout)}
-        assert ("route(2x2->swap)", "route(2x2->swap)") in labels
 
     def test_non_finite_probability_fails(self):
         w = twoway_channel_process(2)
@@ -215,6 +208,69 @@ class TestNormalizationOracle:
         with pytest.raises(ValueError):
             normalization_oracle(twoway_channel_process(2), samples=-1)
 
+    def test_imaginary_residue_raises(self):
+        w = twoway_channel_process(2)
+        op = w.op.copy()
+        op[0, 5] += 1e-3j  # not Hermitian
+        with pytest.raises(ValueError, match="imaginary residue"):
+            normalization_oracle(ProcessMatrix(w.layout, op), samples=0)
+
+    def test_evaluations_count_sweep_tuples_and_samples(self):
+        # a qubit party has 2 preparations and 4 * 3 tilts
+        verdict = normalization_oracle(twoway_channel_process(2), samples=7, seed=0)
+        assert verdict.evaluations == 14 * 14 + 7
+
+    def test_one_party_sixteen_dimensional_document(self):
+        """Four one-party qubit states merged into one 16 -> 16 party (dim
+        256): the sweep has 16 + 256 * 255 members and never stacks their
+        Choi operators. An output-only term breaks it."""
+        s = gallery_entry("state-maxmix-d2").process
+        w = tensor_product(tensor_product(s, s), tensor_product(s, s))
+        assert w.layout.subsystem_dims() == (16, 16)
+        verdict = normalization_oracle(w, samples=0)
+        assert verdict.evaluations == 16 + 256 * 255
+        assert verdict.max_deviation <= 1e-12
+        z = np.diag([1.0, -1.0] * 8)
+        bad = ProcessMatrix(w.layout, w.op + 0.01 * np.kron(np.eye(16), z))
+        verdict = normalization_oracle(bad, samples=0)
+        assert verdict.max_deviation > 1e-6
+        assert abs(probability(bad, verdict.witness) - 1.0) == pytest.approx(
+            verdict.max_deviation, abs=1e-12)
+
+
+SWEEP_DIMS = [(1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (4, 4)]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("d_in, d_out", SWEEP_DIMS)
+    def test_members_are_channels_spanning_the_channel_set(self, d_in, d_out):
+        sweep = _PartySweep.of(d_in, d_out)
+        assert len(sweep.pair) == d_out + d_in ** 2 * (d_out ** 2 - 1)
+        members = [sweep.channel(m) for m in range(len(sweep.pair))]
+        for ch in members:
+            assert (ch.d_in, ch.d_out) == (d_in, d_out)
+            ch.validate()
+        diffs = np.array([(ch.choi - members[0].choi).reshape(-1) for ch in members])
+        rank = np.linalg.matrix_rank(np.concatenate([diffs.real, diffs.imag], axis=1))
+        assert rank + 1 == d_in ** 2 * (d_out ** 2 - 1) + 1
+        assert [ch.label for ch in members[:d_out]] == [f"prepare|{k}>" for k in range(d_out)]
+
+    @pytest.mark.parametrize("layout", [
+        PartyLayout.of(("A", 1, 2), ("B", 2, 1), ("C", 2, 2)),
+        PartyLayout.of(("A", 3, 2), ("B", 2, 1)),
+    ])
+    def test_each_value_is_the_probability_of_its_member_tuple(self, layout):
+        """The subsystem-by-subsystem contraction against ``probability`` of
+        the built member channels, on an arbitrary Hermitian operator."""
+        rng = np.random.default_rng(7)
+        g = rng.normal(size=(layout.dim,) * 2) + 1j * rng.normal(size=(layout.dim,) * 2)
+        w = ProcessMatrix(layout, (g + g.conj().T) / 2)
+        sweeps = [_PartySweep.of(p.d_in, p.d_out) for p in layout.parties]
+        values = _sweep_probabilities(w, sweeps).reshape([len(s.pair) for s in sweeps])
+        for idx in np.ndindex(values.shape):
+            chans = [s.channel(m) for s, m in zip(sweeps, idx)]
+            assert abs(values[idx] - probability(w, chans)) < 1e-12
+
 
 def _forbidden_patterns(layout):
     import itertools
@@ -227,34 +283,39 @@ def _forbidden_patterns(layout):
     return out
 
 
+def _violators(valid, rng):
+    """Each process of ``valid`` plus 0.05 times one randomly chosen forbidden
+    basis term."""
+    layout = valid[0].layout
+    forbidden = _forbidden_patterns(layout)
+    out = []
+    for w in valid:
+        pattern = forbidden[int(rng.integers(len(forbidden)))]
+        bump = hsbasis.reconstruct([HSTerm(pattern, 0.05)], layout.subsystem_dims())
+        out.append(ProcessMatrix(layout, w.op + bump))
+    return out
+
+
 class TestOracleAgreesWithTermRule:
     def test_detection_suite(self):
+        """Every valid process passes and every violator fails, both at zero
+        samples: the sweep decides normalization exactly."""
         rng = np.random.default_rng(2024)
-        forbidden = _forbidden_patterns(QUBIT_BIPARTITE)
-        dims = QUBIT_BIPARTITE.subsystem_dims()
-
         valid = [random_valid_process(QUBIT_BIPARTITE, seed=int(rng.integers(2 ** 62)))
                  for _ in range(50)]
-        violators = []
-        for k in range(50):
-            base = valid[k].op
-            pattern = forbidden[int(rng.integers(len(forbidden)))]
-            bump = hsbasis.reconstruct([HSTerm(pattern, 0.05)], dims)
-            violators.append(ProcessMatrix(QUBIT_BIPARTITE, base + bump))
-
         for w in valid:
-            verdict = normalization_oracle(w, samples=40, seed=1)
-            assert verdict.max_deviation < 1e-9
+            assert normalization_oracle(w, samples=0).max_deviation <= 1e-12
+            assert normalization_oracle(w, samples=40, seed=1).max_deviation < 1e-9
+        for w in _violators(valid, rng):
+            assert normalization_oracle(w, samples=0).max_deviation > 1e-6
 
-        missed = []
-        for i, w in enumerate(violators):
-            verdict = normalization_oracle(w, samples=200, seed=1)
-            if verdict.max_deviation <= 1e-6:
-                missed.append(i)
-        rate = 1.0 - len(missed) / len(violators)
-        print(f"violator detection rate: {rate:.2%} ({len(missed)} missed)")
-        assert rate >= 0.95
-        # misses, if any, get a deeper search
-        for i in missed:
-            verdict = normalization_oracle(violators[i], samples=2000, seed=2)
-            assert verdict.max_deviation > 1e-6
+    @pytest.mark.parametrize("layout", [
+        PartyLayout.of(("A", 1, 2), ("B", 2, 1), ("C", 2, 2)),
+        PartyLayout.of(("A", 3, 2), ("B", 2, 3)),
+    ], ids=["A(1-2)B(2-1)C(2-2)", "A(3-2)B(2-3)"])
+    def test_detection_on_mixed_layouts(self, layout):
+        valid = [random_valid_process(layout, seed=k) for k in range(30)]
+        for w in valid:
+            assert normalization_oracle(w, samples=0).max_deviation <= 1e-12
+        for w in _violators(valid, np.random.default_rng(2025)):
+            assert normalization_oracle(w, samples=0).max_deviation > 1e-6

@@ -325,6 +325,15 @@ class TestCheckSequence:
         with pytest.raises(ValueError, match="factors"):
             check_sequence([s] * 9)
 
+    def test_merged_record_size_cap(self):
+        """The refusal is computed from the factors' dims before any merge:
+        the record merged before the last step of five dim-16 factors would
+        hold 2**32 coefficients. Four factors (2**24) are admitted."""
+        w = twoway_channel_process(2)
+        with pytest.raises(ValueError, match=r"factors of dims \[16, 16, 16, 16, 16\]"):
+            check_sequence([w] * 5)
+        assert check_sequence([w] * 4).first_invalid_step == 0
+
 
 def assert_fold_matches_dense(ps, pairings=None, built=None):
     """Each step of ``check_sequence`` equals the blocking-pair search on the
