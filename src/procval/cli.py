@@ -21,6 +21,7 @@ from .io_format import ProcmatError, load_path, serialize
 from .oracle import normalization_oracle
 from .process import (
     PartyReduction,
+    ProcessMatrix,
     Tolerances,
     classify_term,
     is_valid_process,
@@ -179,7 +180,10 @@ def cmd_product(args) -> int:
         lines.append(f"two-party signalling check: product {'invalid' if loop else 'valid'}")
 
     if report.layout.dim <= args.max_direct_dim:
-        direct = is_valid_process(tensor_product(w, z, pairing=pairing))
+        # Without the factors the built operator is eigendecomposed, so the
+        # cross-check shares no shortcut with the verdict above.
+        built = tensor_product(w, z, pairing=pairing)
+        direct = is_valid_process(ProcessMatrix(built.layout, built.op))
         payload["direct_verdict"] = direct.verdict
         agree = direct.verdict == report.verdict
         payload["cross_check"] = "agree" if agree else "disagree"

@@ -24,6 +24,7 @@ __all__ = [
     "hermiticity_defect",
     "hermitian_tolerance",
     "require_hermitian",
+    "require_finite_hermitian",
     "as_operator",
 ]
 
@@ -63,6 +64,15 @@ def require_hermitian(m, tol: float | None = None) -> np.ndarray:
             f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {limit:.3e}"
         )
     return a
+
+
+def require_finite_hermitian(m, tol: float | None = None) -> np.ndarray:
+    """:func:`require_hermitian` after rejecting a non-finite entry: the
+    checks every spectrum in this package is read behind."""
+    a = as_operator(m)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
+    return require_hermitian(a, tol)
 
 
 def identity(d: int) -> np.ndarray:
@@ -151,10 +161,7 @@ def eigenvalue_range(m, tol: float | None = None) -> tuple[float, float]:
     Rejects inputs with a non-finite entry, and inputs that are not Hermitian
     within ``tol`` (default: scale-aware tolerance).
     """
-    a = as_operator(m)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has a non-finite entry")
-    a = require_hermitian(a, tol)
+    a = require_finite_hermitian(m, tol)
     lam = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     return float(lam[0]), float(lam[-1])
 

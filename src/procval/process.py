@@ -11,7 +11,7 @@ every nontrivial term of its operator-basis expansion acts as a pure input
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
@@ -117,10 +117,19 @@ class PartyLayout:
 class ProcessMatrix:
     """A candidate or validated process: a layout plus the operator on the
     full party space. Construction checks the shape only; validity is decided
-    by :func:`is_valid_process`."""
+    by :func:`is_valid_process`.
+
+    A product built by :func:`~procval.product.tensor_product` also remembers
+    its two factors, and its ``op`` is read-only so that it cannot drift from
+    them; :func:`is_valid_process` then reads the product's spectrum from
+    the factors'. ``ProcessMatrix(p.layout, p.op)`` is the same operator
+    without the factors, so its spectrum is computed densely.
+    """
 
     layout: PartyLayout
     op: np.ndarray
+    _factors: tuple["ProcessMatrix", "ProcessMatrix"] | None = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = linalg.as_operator(self.op)
@@ -247,6 +256,28 @@ def _signalling(w: ProcessMatrix, tol: float | None) -> np.ndarray:
     return (out[:, :, None] & (tags == PartyTag.IN)[:, None, :]).any(axis=0)
 
 
+def _product_extremes(w: tuple[float, float],
+                      z: tuple[float, float]) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of ``W ⊗ Z`` from those of ``W`` and
+    ``Z``: the extremes of the four products."""
+    products = [p * q for p in w for q in z]
+    return min(products), max(products)
+
+
+def _eigenvalue_range(w: ProcessMatrix) -> tuple[float, float]:
+    """:func:`~procval.linalg.eigenvalue_range` of ``w.op``. A built product
+    passes the same finiteness and Hermiticity checks on its operator, then
+    takes its extremes from its factors' (recursively); if a factor fails its
+    own checks, the product's operator is eigendecomposed after all."""
+    if w._factors is None:
+        return linalg.eigenvalue_range(w.op)
+    linalg.require_finite_hermitian(w.op)
+    try:
+        return _product_extremes(*map(_eigenvalue_range, w._factors))
+    except ValueError:
+        return linalg.eigenvalue_range(w.op)
+
+
 def _term(indices: np.ndarray, coeff) -> HSTerm:
     return HSTerm(indices=tuple(int(i) for i in indices), coeff=float(coeff))
 
@@ -258,8 +289,9 @@ class FactorRecord:
     ``(d_1^2, ...)`` over the layout's subsystems), the extreme eigenvalues
     of its Hermitian part, its Frobenius norm and its trace.
 
-    :meth:`of` reads them off an operator; the record of a tensor product is
-    merged from its factors' records in :mod:`procval.product`.
+    :meth:`of` reads them off an operator, the extremes of a built product
+    from its factors; the record of a tensor product is merged from its
+    factors' records in :mod:`procval.product`.
     """
 
     layout: PartyLayout
@@ -271,7 +303,7 @@ class FactorRecord:
 
     @staticmethod
     def of(w: ProcessMatrix) -> "FactorRecord":
-        lam_min, lam_max = linalg.eigenvalue_range(w.op)
+        lam_min, lam_max = _eigenvalue_range(w)
         return FactorRecord(
             layout=w.layout,
             coeffs=hsbasis.coefficient_tensor(w.op, w.layout.subsystem_dims()),

@@ -15,10 +15,14 @@ eigenvalues, Frobenius norm, trace), the record that
 :func:`~procval.process.is_valid_process` also reads. A product's record
 follows from its factors' records: coefficients merge subsystem by subsystem
 through :func:`~procval.hsbasis.merge_matrix`, and eigenvalues, norm and trace
-multiply. The independent references are the dense :func:`tensor_product`
-plus coefficient extraction, the term loops in ``tests/helpers.py`` and
-``bench/reference.py``. A merged record holds one coefficient per term of the
-product, since later fold steps enumerate them, so its size is capped.
+multiply. A product built by :func:`tensor_product` remembers its factors,
+so validating it reads its extreme eigenvalues from theirs the same way; its
+coefficients, norm and trace come from the built operator. The independent
+references are the record-free ``ProcessMatrix(p.layout, p.op)`` of a built
+product, whose spectrum is computed from the operator, plus coefficient
+extraction, the term loops in ``tests/helpers.py`` and ``bench/reference.py``.
+A merged record holds one coefficient per term of the product, since later
+fold steps enumerate them, so its size is capped.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .process import (
     ProcessMatrix,
     _allowed,
     _party_tags,
+    _product_extremes,
     _signalling,
     _term,
 )
@@ -121,19 +126,37 @@ def _merged_subsystems(w_layout: PartyLayout, z_layout: PartyLayout,
     return out
 
 
+def _frozen(p: ProcessMatrix) -> ProcessMatrix:
+    """``p`` when it is a built product (its operator is read-only already),
+    else a read-only copy, so that a product's factors cannot change later."""
+    if p._factors is not None:
+        return p
+    op = p.op.copy()
+    op.setflags(write=False)
+    return ProcessMatrix(p.layout, op)
+
+
 def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
                    pairing: PartyPairing | None = None) -> ProcessMatrix:
     """Kronecker product of two processes, reordered into the merged-party
     layout (first factor's subsystem before the second's within each merged
-    input and output). No term-rule check is performed here."""
+    input and output). No term-rule check is performed here.
+
+    The result remembers read-only copies of ``w`` and ``z`` and its ``op``
+    is read-only, so :func:`~procval.process.is_valid_process` reads its
+    extreme eigenvalues from the factors'."""
     pairing = _resolve_pairing(w.layout, z.layout, pairing)
     layout = combined_layout(w.layout, z.layout, pairing)
+    w, z = _frozen(w), _frozen(z)
     raw = linalg.tensor(w.op, z.op)
     dims = w.layout.subsystem_dims() + z.layout.subsystem_dims()
     nw = 2 * w.layout.n_parties
     perm = [k for a, b in _merged_subsystems(w.layout, z.layout, pairing)
             for k in (a, nw + b)]
-    return ProcessMatrix(layout=layout, op=linalg.permute_subsystems(raw, dims, perm))
+    built = ProcessMatrix(layout=layout, op=linalg.permute_subsystems(raw, dims, perm))
+    built.op.setflags(write=False)
+    object.__setattr__(built, "_factors", (w, z))
+    return built
 
 
 def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
@@ -159,13 +182,12 @@ def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
         out = np.zeros((x.shape[1], t.shape[0]))
         out[live] = x[:, live].T @ t.T
         x = out
-    extremes = [p * q for p in (w.lam_min, w.lam_max)
-                for q in (z.lam_min, z.lam_max)]
+    lam_min, lam_max = _product_extremes((w.lam_min, w.lam_max), (z.lam_min, z.lam_max))
     return FactorRecord(
         layout=layout,
         coeffs=x.reshape([d * d for d in layout.subsystem_dims()]),
-        lam_min=min(extremes),
-        lam_max=max(extremes),
+        lam_min=lam_min,
+        lam_max=lam_max,
         norm=w.norm * z.norm,
         trace=w.trace * z.trace,
     )

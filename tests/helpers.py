@@ -5,7 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from procval import PartyLayout, gallery_entry, mixture, random_valid_process
+from procval import (
+    PartyLayout,
+    ProcessMatrix,
+    gallery_entry,
+    mixture,
+    random_valid_process,
+    tensor_product,
+)
 
 QUBIT_BIPARTITE = PartyLayout.of(("X", 2, 2), ("Y", 2, 2))
 
@@ -54,6 +61,28 @@ def suite_pairs(suite, seed: int = 7, n: int = 200):
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(suite), size=(n, 2))
     return [(suite[i], suite[j]) for i, j in idx]
+
+
+def dense_product(w, z, pairing=None):
+    """The built product of ``w`` and ``z`` without its factors: validating
+    it eigendecomposes the whole operator, the dense reference the factor
+    paths are compared against."""
+    built = tensor_product(w, z, pairing=pairing)
+    return ProcessMatrix(built.layout, built.op)
+
+
+def record_eigvalsh_dims(monkeypatch) -> list[int]:
+    """Wrap ``numpy.linalg.eigvalsh`` for the rest of the test; the returned
+    list collects the dimension of every matrix handed to it."""
+    dims = []
+    real = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        dims.append(np.shape(a)[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return dims
 
 
 def loop_blocking_pairs(w, z, pairing=None, tol=None):

@@ -30,7 +30,7 @@ from procval import (
 )
 from procval.cli import main as cli_main
 
-from helpers import SQUARED_TWOWAY_WITNESS, bipartite_qubit_suite, suite_pairs
+from helpers import SQUARED_TWOWAY_WITNESS, bipartite_qubit_suite, dense_product, suite_pairs
 
 
 def criterion(n, desc):
@@ -101,7 +101,7 @@ def test_criterion_3_pair_rule_equals_direct_check(pairs):
     verdicts = set()
     for w, z in pairs:
         pair_verdict = find_blocking_pairs(w, z).verdict
-        direct_verdict = is_valid_process(tensor_product(w, z)).verdict
+        direct_verdict = is_valid_process(dense_product(w, z)).verdict
         assert pair_verdict == direct_verdict
         agreements += 1
         verdicts.add(pair_verdict)

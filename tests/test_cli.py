@@ -17,7 +17,7 @@ from procval import (
 from procval.cli import main
 from procval.io_format import load_path
 
-from helpers import BASE_NAMES, SQUARED_TWOWAY_WITNESS
+from helpers import BASE_NAMES, SQUARED_TWOWAY_WITNESS, record_eigvalsh_dims
 
 
 @pytest.fixture()
@@ -125,6 +125,12 @@ class TestProduct:
                      "--max-direct-dim", "64", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert "direct_verdict" not in payload
+
+    def test_cross_check_eigendecomposes_the_built_product(self, docs, capsys, monkeypatch):
+        dims = record_eigvalsh_dims(monkeypatch)
+        assert main(["product", docs["twoway-d2"], docs["oneway-xy-d2"]]) == 1
+        assert "(agree)" in capsys.readouterr().out
+        assert 256 in dims
 
 
 class TestOracle:

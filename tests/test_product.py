@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from procval import (
     PartyLayout,
     PartyPairing,
+    PartyReduction,
     ProcessMatrix,
     check_sequence,
     find_blocking_pairs,
@@ -20,6 +21,7 @@ from procval import (
     min_eigenvalue,
     oneway_channel_process,
     random_valid_process,
+    reduced_process,
     state_process,
     tensor_product,
     two_party_product_invalid,
@@ -32,8 +34,10 @@ from procval.product import _merge_records
 from helpers import (
     BASE_NAMES,
     bipartite_qubit_suite,
+    dense_product,
     loop_blocking_pairs,
     random_hermitian,
+    record_eigvalsh_dims,
     suite_pairs,
 )
 
@@ -157,7 +161,7 @@ class TestFindBlockingPairs:
         suite = bipartite_qubit_suite(seed=99, n_mixtures=4, n_random=4)
         for w, z in suite_pairs(suite, seed=3, n=40):
             report = find_blocking_pairs(w, z)
-            direct = is_valid_process(tensor_product(w, z))
+            direct = is_valid_process(dense_product(w, z))
             assert report.verdict == direct.verdict
 
     def test_matches_term_loop_on_random_suite(self):
@@ -337,7 +341,7 @@ class TestCheckSequence:
 
 def assert_fold_matches_dense(ps, pairings=None, built=None):
     """Each step of ``check_sequence`` equals the blocking-pair search on the
-    dense accumulated product, built with ``tensor_product``, and its
+    dense accumulated product, built with ``dense_product``, and its
     ``w_valid`` equals ``is_valid_process`` of that operator. ``built`` maps
     the factors of a prefix (by identity) to its dense product and verdict,
     so positional folds that share prefixes build each product once."""
@@ -364,7 +368,7 @@ def assert_fold_matches_dense(ps, pairings=None, built=None):
         if k + 2 < len(ps):
             key = tuple(id(p) for p in ps[:k + 2])
             if key not in built:
-                prod = tensor_product(acc, nxt, pairing=pairing)
+                prod = dense_product(acc, nxt, pairing=pairing)
                 built[key] = (prod, is_valid_process(prod).verdict)
             acc, acc_valid = built[key]
     assert report.first_invalid_step == first_bad
@@ -448,8 +452,144 @@ class TestFactorRecord:
         assert rec.norm == pytest.approx(np.linalg.norm(built.op), rel=1e-12)
         assert rec.trace == pytest.approx(built.op.trace().real, rel=1e-12, abs=1e-12)
         assert rec.valid == is_valid_process(built).verdict
+        # The built product's own record reads its extremes the same way.
+        built_rec = FactorRecord.of(built)
+        assert (built_rec.lam_min, built_rec.lam_max) == (rec.lam_min, rec.lam_max)
 
     def test_gallery_validity_matches_is_valid_process(self):
         for name in ("twoway-d2", "twoway-d3", "state-maxmix-d2", "oneway-xy-d2"):
             w = gallery_entry(name).process
             assert FactorRecord.of(w).valid == is_valid_process(w).verdict
+
+
+def prep_measure_pair():
+    """On P(1->2) M(2->1): the identity channel from P to M, and a product
+    of a preparation and a measurement."""
+    layout = PartyLayout.of(("P", 1, 2), ("M", 2, 1))
+    ident = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            ident[i * 2 + i, j * 2 + j] = 1.0
+    return (ProcessMatrix(layout, ident),
+            state_process(np.diag([0.9, 0.1]).astype(complex), layout))
+
+
+class TestBuiltProductSpectrum:
+    """A ``tensor_product`` result takes its extreme eigenvalues from its
+    factors; everything else, and every verdict, is that of the record-free
+    copy ``dense_product``, whose operator is eigendecomposed."""
+
+    @staticmethod
+    def assert_matches_dense(p):
+        dense = ProcessMatrix(p.layout, p.op)
+        lam_min, lam_max = linalg.eigenvalue_range(dense.op)
+        rec = FactorRecord.of(p)
+        tol = 1e-12 * np.linalg.norm(p.op)
+        assert abs(rec.lam_min - lam_min) <= tol
+        assert abs(rec.lam_max - lam_max) <= tol
+        got, want = is_valid_process(p), is_valid_process(dense)
+        assert got.verdict == want.verdict
+        assert got.forbidden_terms == want.forbidden_terms
+        assert got.trace_defect == want.trace_defect
+        assert abs(got.psd_defect - want.psd_defect) <= tol
+
+    def test_gallery_qubit_pairs(self):
+        for a, b in itertools.product(BASE_NAMES, repeat=2):
+            self.assert_matches_dense(
+                tensor_product(gallery_entry(a).process, gallery_entry(b).process))
+
+    def test_nested_product(self, monkeypatch):
+        chan, prep = prep_measure_pair()
+        inner = tensor_product(twoway_channel_process(2), chan)
+        p = tensor_product(inner, prep)
+        assert p._factors[0] is inner and p.dim == 256
+        eigvalsh_dims = record_eigvalsh_dims(monkeypatch)
+        is_valid_process(p)
+        assert sorted(eigvalsh_dims) == [4, 4, 16]
+        self.assert_matches_dense(p)
+
+    def test_non_positional_pairing(self):
+        w = gallery_entry("oneway-xy-d2").process
+        z = twoway_channel_process(2)
+        swapped = PartyPairing((("Y", "X", "B"), ("X", "Y", "A")))
+        self.assert_matches_dense(tensor_product(w, z, pairing=swapped))
+
+    def test_one_dimensional_ends(self):
+        chan, prep = prep_measure_pair()
+        crossed = PartyPairing((("M", "P", "A"), ("P", "M", "B")))
+        for w, z in itertools.product((chan, prep), repeat=2):
+            for pairing in (None, crossed):
+                self.assert_matches_dense(tensor_product(w, z, pairing=pairing))
+
+    def test_eigendecomposes_only_the_factors(self, monkeypatch):
+        w = gallery_entry("oneway-xy-d2").process
+        z = prep_measure_pair()[0]
+        eigvalsh_dims = record_eigvalsh_dims(monkeypatch)
+        is_valid_process(tensor_product(w, z))
+        assert eigvalsh_dims == [16, 4]
+        is_valid_process(dense_product(w, z))
+        assert eigvalsh_dims == [16, 4, 64]
+
+    @pytest.mark.parametrize("case", ["defect-on-one", "both-anti-hermitian"])
+    def test_factor_failing_hermiticity_gives_dense_answer(self, case):
+        h = twoway_channel_process(2)
+        if case == "defect-on-one":
+            skew = 1e-11j * np.add.outer(np.arange(16.0), np.arange(16.0))
+            w = ProcessMatrix(h.layout, h.op + skew)
+            z = ProcessMatrix(h.layout, 1e-3 * gallery_entry("state-bell-d2").process.op)
+        else:  # (iH) x (iH) = -(H x H) is Hermitian although neither factor is
+            w = z = ProcessMatrix(h.layout, 1j * h.op)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.require_hermitian(w.op)
+        p = tensor_product(w, z)
+        linalg.require_hermitian(p.op)
+        got, want = is_valid_process(p), is_valid_process(ProcessMatrix(p.layout, p.op))
+        assert got == want
+
+    def test_overflowing_product_raises_as_before(self):
+        h = twoway_channel_process(2)
+        big = ProcessMatrix(h.layout, 1e200 * h.op)
+        with np.errstate(over="ignore"):
+            is_valid_process(big)  # the factor itself is finite
+            p = tensor_product(big, big)
+        errors = []
+        for candidate in (p, ProcessMatrix(p.layout, p.op)):
+            with pytest.raises(ValueError, match="non-finite entry") as err:
+                is_valid_process(candidate)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+    def test_product_is_read_only_and_keeps_its_factors(self):
+        h = twoway_channel_process(2)
+        w = ProcessMatrix(h.layout, h.op.copy())
+        p = tensor_product(w, w)
+        with pytest.raises(ValueError, match="read-only"):
+            p.op[0, 0] = 1.0
+        before = FactorRecord.of(p)
+        w.op[:] = 0.0  # the product remembers a copy of its factor
+        after = FactorRecord.of(p)
+        assert (after.lam_min, after.lam_max) == (before.lam_min, before.lam_max)
+        assert ProcessMatrix(p.layout, p.op)._factors is None
+
+
+@st.composite
+def _valid_factor_pairs(draw):
+    n = draw(st.integers(1, 3))
+    layouts = [draw(_layouts(n).filter(lambda lay: 1 in lay.subsystem_dims()))
+               for _ in range(2)]
+    return tuple(random_valid_process(layout, seed=draw(st.integers(0, 2 ** 32 - 1)),
+                                      n_terms=draw(st.integers(1, 12)))
+                 for layout in layouts)
+
+
+class TestReducedProduct:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_valid_factor_pairs())
+    def test_reduce_recovers_first_factor(self, case):
+        w, z = case
+        p = tensor_product(w, z)
+        keep = {m.name: PartyReduction((a.d_in, b.d_in), (a.d_out, b.d_out), (0,))
+                for m, a, b in zip(p.layout.parties, w.layout.parties, z.layout.parties)}
+        back = reduced_process(p, keep)
+        assert back.layout == w.layout
+        assert np.abs(back.op - w.op).max() <= 1e-12
