@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 
 __all__ = ["HSBasis", "HSTerm", "make_basis", "decompose", "reconstruct",
-           "coefficient_tensor", "default_term_tol", "merge_matrix"]
+           "coefficient_tensor", "default_term_tol"]
 
 
 @dataclass(frozen=True)
@@ -80,34 +80,37 @@ def _extraction_matrix(d: int) -> np.ndarray:
     """Rows are the flattened transposed basis elements, so that
     row i contracted with a flattened (row, col) pair block of the operator
     yields trace(m s_i) for that subsystem."""
-    basis = make_basis(d)
-    return np.stack([op.T.reshape(-1) for op in basis.ops])
+    return np.stack([op.T.reshape(-1) for op in make_basis(d).ops])
 
 
 @lru_cache(maxsize=None)
-def _synthesis_matrix(d: int) -> np.ndarray:
-    """Columns are the flattened basis elements (inverse direction)."""
-    basis = make_basis(d)
-    return np.stack([op.reshape(-1) for op in basis.ops]).T
-
-
-@lru_cache(maxsize=None)
-def merge_matrix(a: int, b: int) -> np.ndarray:
-    """Basis change from products of the ``a``- and ``b``-dimensional bases
-    to the basis of the merged ``a*b``-dimensional subsystem (the first
-    factor most significant): ``T[K, i, j] = trace(S_K (s_i x s_j)) / (a*b)``.
-
-    Coefficients combine as ``C[K] = sum_ij T[K, i, j] c[i] e[j]``. ``T`` is
-    real because every basis element is Hermitian; the identity only maps to
-    the identity, so the identity/traceless split of each factor survives.
-    """
+def _merge_matrix(a: int, b: int) -> np.ndarray:
+    """Basis change ``T[K, (i, j)] = trace(S_K (s_i x s_j)) / (a*b)`` into
+    the merged ``a*b`` basis. It is real and maps the identity only to the
+    identity, so each factor's identity/traceless split survives."""
     d = a * b
     sa = np.stack(make_basis(a).ops)
     sb = np.stack(make_basis(b).ops)
     products = np.einsum("ipq,jrs->ijprqs", sa, sb).reshape(a * a * b * b, d * d)
-    t = (_extraction_matrix(d) @ products.T).real.reshape(d * d, a * a, b * b) / d
+    t = (_extraction_matrix(d) @ products.T).real / d
     t.setflags(write=False)
     return t
+
+
+def _contract(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Apply ``mats[k]`` to axis ``k`` of ``x``, for every ``k``: each step
+    contracts the leading axis, appends the new one at the end, and
+    multiplies only the slices that hold a nonzero entry."""
+    for t in mats:
+        x = x.reshape(t.shape[1], -1)
+        live = np.flatnonzero(x.any(axis=0))
+        if len(live) == x.shape[1]:
+            x = x.T @ t.T
+        else:
+            out = np.zeros((x.shape[1], t.shape[0]), dtype=np.result_type(x, t))
+            out[live] = x[:, live].T @ t.T
+            x = out
+    return x.reshape([t.shape[0] for t in mats])
 
 
 def coefficient_tensor(m, dims: Sequence[int]) -> np.ndarray:
@@ -120,20 +123,30 @@ def coefficient_tensor(m, dims: Sequence[int]) -> np.ndarray:
     a = linalg.require_hermitian(m)
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    total = int(np.prod(dims)) if dims else 1
+    total = math.prod(dims)
     if total != a.shape[0]:
         raise ValueError(f"shape {dims} does not match matrix dimension {a.shape[0]}")
-    t = a.reshape(dims + dims)
-    # Interleave (row_k, col_k) and merge each pair into one axis of size d_k^2.
+    # Interleave (row_k, col_k), so that each pair is one axis of size d_k^2.
     order = [ax for k in range(n) for ax in (k, k + n)]
-    t = t.transpose(order).reshape([d * d for d in dims])
-    for k, d in enumerate(dims):
-        t = np.moveaxis(np.tensordot(_extraction_matrix(d), t, axes=(1, k)), 0, k)
-    t = t / total
-    residue = float(np.abs(t.imag).max()) if t.size else 0.0
-    if residue > 1e-10 * (1.0 + float(np.abs(t.real).max(initial=0.0))):
+    t = _contract(a.reshape(dims + dims).transpose(order), [_extraction_matrix(d) for d in dims])
+    coeffs = t.real / total
+    residue = float(np.abs(t.imag).max()) / total
+    if residue > 1e-10 * (1.0 + float(np.abs(coeffs).max(initial=0.0))):
         raise ValueError(f"coefficient extraction left imaginary residue {residue:.3e}")
-    return np.ascontiguousarray(t.real)
+    return coeffs
+
+
+def _merge_coefficients(cw: np.ndarray, cz: np.ndarray,
+                        pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Coefficients of ``W x Z`` from those of ``W`` and ``Z``; merged subsystem
+    ``k`` is subsystem ``pairs[k][0]`` of ``W`` times ``pairs[k][1]`` of ``Z``."""
+    w_axes, z_axes = zip(*pairs)
+    n = len(pairs)
+    # Outer product, parts of a merged subsystem adjacent: unnamed, so freed after one step.
+    return _contract(
+        np.expand_dims(cw.transpose(w_axes), tuple(range(1, 2 * n, 2)))
+        * np.expand_dims(cz.transpose(z_axes), tuple(range(0, 2 * n, 2))),
+        [_merge_matrix(math.isqrt(cw.shape[a]), math.isqrt(cz.shape[b])) for a, b in pairs])
 
 
 def default_term_tol(coeffs: np.ndarray) -> float:
@@ -142,27 +155,31 @@ def default_term_tol(coeffs: np.ndarray) -> float:
     return 1e-9 * max(1.0, peak)
 
 
+def _term_rows(coeffs: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices (rows, lexicographic order) and coefficients of the terms
+    with |coefficient| > ``tol`` (default :func:`default_term_tol`)."""
+    if tol is None:
+        tol = default_term_tol(coeffs)
+    indices = np.argwhere((coeffs > tol) | (coeffs < -tol))
+    return indices, coeffs[tuple(indices.T)]
+
+
 def decompose(m, dims: Sequence[int], tol: float | None = None) -> list[HSTerm]:
     """Expand a Hermitian operator over the tensor-product basis.
 
     Returns the terms with |coefficient| > ``tol`` (default: relative
     threshold from :func:`default_term_tol`), sorted by multi-index.
     """
-    coeffs = coefficient_tensor(m, dims)
-    if tol is None:
-        tol = default_term_tol(coeffs)
-    hits = np.argwhere(np.abs(coeffs) > tol)
-    return [HSTerm(indices=tuple(int(i) for i in idx), coeff=float(coeffs[tuple(idx)]))
-            for idx in hits]
+    indices, coeffs = _term_rows(coefficient_tensor(m, dims), tol)
+    return [HSTerm(tuple(map(int, idx)), float(c)) for idx, c in zip(indices, coeffs)]
 
 
 def reconstruct(terms: Sequence[HSTerm], dims: Sequence[int]) -> np.ndarray:
     """Sum of coeff * s_I over the given terms, as a dense operator."""
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    total = int(np.prod(dims)) if dims else 1
-    shape = tuple(d * d for d in dims)
-    coeffs = np.zeros(shape, dtype=np.float64)
+    total = math.prod(dims)
+    coeffs = np.zeros([d * d for d in dims])
     for t in terms:
         if len(t.indices) != n:
             raise ValueError(f"term {t.indices} does not match {n} subsystems")
@@ -170,10 +187,9 @@ def reconstruct(terms: Sequence[HSTerm], dims: Sequence[int]) -> np.ndarray:
             if not 0 <= i < d * d:
                 raise IndexError(f"basis index {i} out of range for dimension {d}")
         coeffs[t.indices] += t.coeff
-    t = coeffs.astype(np.complex128)
-    for k, d in enumerate(dims):
-        t = np.moveaxis(np.tensordot(_synthesis_matrix(d), t.reshape(t.shape), axes=(1, k)), 0, k)
-    # Split each d^2 axis back into (row, col) and un-interleave.
+    # The extraction matrix's conjugate transpose has the flattened basis
+    # elements as columns; each d^2 axis then splits into (row, col), rows first.
+    t = _contract(coeffs, [_extraction_matrix(d).conj().T for d in dims])
     t = t.reshape([x for d in dims for x in (d, d)])
     rows_then_cols = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
     return np.ascontiguousarray(t.transpose(rows_then_cols).reshape(total, total))

@@ -24,7 +24,6 @@ __all__ = [
     "hermiticity_defect",
     "hermitian_tolerance",
     "require_hermitian",
-    "require_finite_hermitian",
     "as_operator",
 ]
 
@@ -38,8 +37,13 @@ def as_operator(m) -> np.ndarray:
 
 
 def frobenius(m) -> float:
-    """Frobenius norm of a matrix."""
-    return float(np.linalg.norm(np.asarray(m)))
+    """Frobenius norm of a matrix, scaled by its largest modulus first when
+    the plain sum of squares overflows; infinite only beyond the double range."""
+    a = np.asarray(m)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+        peak = float(np.abs(a).max()) if norm == np.inf else 0.0
+    return peak * float(np.linalg.norm(a / peak)) if 0.0 < peak < np.inf else norm
 
 
 def hermiticity_defect(m) -> float:
@@ -66,13 +70,13 @@ def require_hermitian(m, tol: float | None = None) -> np.ndarray:
     return a
 
 
-def require_finite_hermitian(m, tol: float | None = None) -> np.ndarray:
-    """:func:`require_hermitian` after rejecting a non-finite entry: the
-    checks every spectrum in this package is read behind."""
+def _require_finite(m) -> np.ndarray:
+    """Return ``m`` as complex128, raising ValueError on a non-finite entry:
+    the check every spectrum in this package is read behind."""
     a = as_operator(m)
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
-    return require_hermitian(a, tol)
+    return a
 
 
 def identity(d: int) -> np.ndarray:
@@ -161,7 +165,11 @@ def eigenvalue_range(m, tol: float | None = None) -> tuple[float, float]:
     Rejects inputs with a non-finite entry, and inputs that are not Hermitian
     within ``tol`` (default: scale-aware tolerance).
     """
-    a = require_finite_hermitian(m, tol)
+    return _hermitian_extremes(require_hermitian(_require_finite(m), tol))
+
+
+def _hermitian_extremes(a: np.ndarray) -> tuple[float, float]:
+    """:func:`eigenvalue_range` of an operator that has passed its checks."""
     lam = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     return float(lam[0]), float(lam[-1])
 

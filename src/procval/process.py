@@ -236,22 +236,12 @@ def _allowed(tags: np.ndarray) -> np.ndarray:
     return (tags == PartyTag.IN).any(axis=-1) | (tags == PartyTag.TRIVIAL).all(axis=-1)
 
 
-def _term_rows(coeffs: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices (one row per term, lexicographic order) and coefficients
-    of the terms with |coefficient| > ``tol`` (default:
-    :func:`~procval.hsbasis.default_term_tol`), the trivial term included."""
-    if tol is None:
-        tol = hsbasis.default_term_tol(coeffs)
-    indices = np.argwhere((coeffs > tol) | (coeffs < -tol))
-    return indices, coeffs[tuple(indices.T)]
-
-
-def _signalling(w: ProcessMatrix, tol: float | None) -> np.ndarray:
+def _signalling(w: ProcessMatrix) -> np.ndarray:
     """Entry ``[i, j]`` is True when some term of ``w``'s expansion acts on
     the output (or both ends) of party ``i`` and as a pure input on party
     ``j``. Read off the tag rows of the coefficients; no spectrum is computed."""
     coeffs = hsbasis.coefficient_tensor(w.op, w.layout.subsystem_dims())
-    tags = _party_tags(_term_rows(coeffs, tol)[0])
+    tags = _party_tags(hsbasis._term_rows(coeffs, None)[0])
     out = (tags & PartyTag.OUT) != 0
     return (out[:, :, None] & (tags == PartyTag.IN)[:, None, :]).any(axis=0)
 
@@ -264,18 +254,18 @@ def _product_extremes(w: tuple[float, float],
     return min(products), max(products)
 
 
-def _eigenvalue_range(w: ProcessMatrix) -> tuple[float, float]:
-    """:func:`~procval.linalg.eigenvalue_range` of ``w.op``. A built product
-    passes the same finiteness and Hermiticity checks on its operator, then
-    takes its extremes from its factors' (recursively); if a factor fails its
-    own checks, the product's operator is eigendecomposed after all."""
-    if w._factors is None:
-        return linalg.eigenvalue_range(w.op)
-    linalg.require_finite_hermitian(w.op)
-    try:
-        return _product_extremes(*map(_eigenvalue_range, w._factors))
-    except ValueError:
-        return linalg.eigenvalue_range(w.op)
+def _eigenvalue_range(w: ProcessMatrix, check: bool = False) -> tuple[float, float]:
+    """Extreme eigenvalues of ``w.op``, checked first if ``check``. A built
+    product takes them from its factors, each checked (recursively); if one
+    fails its checks, the product's operator is eigendecomposed after all."""
+    if check:
+        linalg.require_hermitian(linalg._require_finite(w.op))
+    if w._factors is not None:
+        try:
+            return _product_extremes(*(_eigenvalue_range(f, check=True) for f in w._factors))
+        except ValueError:
+            pass
+    return linalg._hermitian_extremes(w.op)
 
 
 def _term(indices: np.ndarray, coeff) -> HSTerm:
@@ -303,10 +293,14 @@ class FactorRecord:
 
     @staticmethod
     def of(w: ProcessMatrix) -> "FactorRecord":
+        """The record of ``w.op``, checked once: for a non-finite entry, then
+        for Hermiticity by the coefficient extraction."""
+        dims = w.layout.subsystem_dims()
+        coeffs = hsbasis.coefficient_tensor(linalg._require_finite(w.op), dims)
         lam_min, lam_max = _eigenvalue_range(w)
         return FactorRecord(
             layout=w.layout,
-            coeffs=hsbasis.coefficient_tensor(w.op, w.layout.subsystem_dims()),
+            coeffs=coeffs,
             lam_min=lam_min,
             lam_max=lam_max,
             norm=linalg.frobenius(w.op),
@@ -314,12 +308,12 @@ class FactorRecord:
         )
 
     def terms(self, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_term_rows` of the coefficients; the default rows are cached."""
-        return self._default_terms if tol is None else _term_rows(self.coeffs, tol)
+        """:func:`hsbasis._term_rows` of the coefficients; the default rows are cached."""
+        return self._default_terms if tol is None else hsbasis._term_rows(self.coeffs, tol)
 
     @cached_property
     def _default_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        return _term_rows(self.coeffs, None)
+        return hsbasis._term_rows(self.coeffs, None)
 
     def check(self, tolerances: Tolerances) -> tuple[bool, float, float, np.ndarray, np.ndarray]:
         """The validity decision, and the one place the three thresholds of
@@ -332,7 +326,9 @@ class FactorRecord:
         trace_defect = abs(self.trace - self.layout.d_out)
         psd_tol = 1e-9 * self.norm if tolerances.psd is None else tolerances.psd
         trace_tol = 1e-9 * self.layout.d_out if tolerances.trace is None else tolerances.trace
-        verdict = bool(psd_defect <= psd_tol and trace_defect <= trace_tol and not forbidden.any())
+        # An overflowed defect or threshold (inf <= inf) says nothing, so it fails.
+        psd_ok = -np.inf < psd_defect <= psd_tol < np.inf
+        verdict = bool(psd_ok and trace_defect <= trace_tol and not forbidden.any())
         return verdict, psd_defect, trace_defect, indices[forbidden], coeffs[forbidden]
 
     @cached_property
@@ -360,8 +356,7 @@ def is_valid_process(w: ProcessMatrix, tolerances: Tolerances | None = None) -> 
                           tuple(zip(map(_term, indices, coeffs), signatures)))
 
 
-def signalling_directions(w: ProcessMatrix, frm: str, to: str,
-                          tol: float | None = None) -> bool:
+def signalling_directions(w: ProcessMatrix, frm: str, to: str) -> bool:
     """True when some nontrivial term acts on the output (or both ends) of
     ``frm`` and as a pure input on ``to`` — the pattern that lets ``frm``'s
     output influence ``to``'s input statistics."""
@@ -369,7 +364,7 @@ def signalling_directions(w: ProcessMatrix, frm: str, to: str,
     j = w.layout.party_index(to)
     if i == j:
         raise ValueError("signalling needs two distinct parties")
-    return bool(_signalling(w, tol)[i, j])
+    return bool(_signalling(w)[i, j])
 
 
 @dataclass(frozen=True)

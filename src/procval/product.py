@@ -13,11 +13,11 @@ The decisions never build the product operator. Each factor is reduced once
 to a :class:`~procval.process.FactorRecord` (coefficient tensor, extreme
 eigenvalues, Frobenius norm, trace), the record that
 :func:`~procval.process.is_valid_process` also reads. A product's record
-follows from its factors' records: coefficients merge subsystem by subsystem
-through :func:`~procval.hsbasis.merge_matrix`, and eigenvalues, norm and trace
-multiply. A product built by :func:`tensor_product` remembers its factors,
-so validating it reads its extreme eigenvalues from theirs the same way; its
-coefficients, norm and trace come from the built operator. The independent
+follows from its factors' records: :mod:`procval.hsbasis` merges the
+coefficient tensors, and eigenvalues, norm and trace multiply. A product
+built by :func:`tensor_product` remembers its factors, so validating it
+reads its extreme eigenvalues from theirs the same way; its coefficients,
+norm and trace come from the built operator. The independent
 references are the record-free ``ProcessMatrix(p.layout, p.op)`` of a built
 product, whose spectrum is computed from the operator, plus coefficient
 extraction, the term loops in ``tests/helpers.py`` and ``bench/reference.py``.
@@ -163,29 +163,11 @@ def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
                    layout: PartyLayout) -> FactorRecord:
     """Record of the tensor product of two records in the merged ``layout``,
     without building the product operator."""
-    merged = _merged_subsystems(w.layout, z.layout, pairing)
-    w_axes, z_axes = zip(*merged)
-    n = len(merged)
-    # Outer product with the two parts of each merged subsystem adjacent.
-    x = (np.expand_dims(w.coeffs.transpose(w_axes), tuple(range(1, 2 * n, 2)))
-         * np.expand_dims(z.coeffs.transpose(z_axes), tuple(range(0, 2 * n, 2))))
-    w_dims = w.layout.subsystem_dims()
-    z_dims = z.layout.subsystem_dims()
-    for a, b in merged:
-        t = hsbasis.merge_matrix(w_dims[a], z_dims[b])
-        t = t.reshape(t.shape[0], -1)
-        # Contract the leading axis and append its merged axis at the end;
-        # after every subsystem the axes are back in merged order. Only
-        # the slices holding a nonzero coefficient are multiplied.
-        x = x.reshape(t.shape[1], -1)
-        live = np.flatnonzero(x.any(axis=0))
-        out = np.zeros((x.shape[1], t.shape[0]))
-        out[live] = x[:, live].T @ t.T
-        x = out
     lam_min, lam_max = _product_extremes((w.lam_min, w.lam_max), (z.lam_min, z.lam_max))
     return FactorRecord(
         layout=layout,
-        coeffs=x.reshape([d * d for d in layout.subsystem_dims()]),
+        coeffs=hsbasis._merge_coefficients(
+            w.coeffs, z.coeffs, _merged_subsystems(w.layout, z.layout, pairing)),
         lam_min=lam_min,
         lam_max=lam_max,
         norm=w.norm * z.norm,
@@ -282,8 +264,7 @@ def find_blocking_pairs(w: ProcessMatrix, z: ProcessMatrix,
     return _report(FactorRecord.of(w), FactorRecord.of(z), pairing, tol)
 
 
-def two_party_product_invalid(w: ProcessMatrix, z: ProcessMatrix,
-                              tol: float | None = None) -> bool:
+def two_party_product_invalid(w: ProcessMatrix, z: ProcessMatrix) -> bool:
     """Shortcut decision for two-party factors: their product is invalid
     exactly when both factors carry signalling terms and the two factors'
     signalling terms jointly cover both directions.
@@ -294,7 +275,7 @@ def two_party_product_invalid(w: ProcessMatrix, z: ProcessMatrix,
     for p in (w, z):
         if p.layout.n_parties != 2:
             raise ValueError("this check applies to two-party processes only")
-    dw, dz = _signalling(w, tol), _signalling(z, tol)
+    dw, dz = _signalling(w), _signalling(z)
     return bool(dw.any() and dz.any() and (dw | dz)[[0, 1], [1, 0]].all())
 
 

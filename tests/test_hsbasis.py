@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from procval import hsbasis, linalg
+from procval import gallery_entry, hsbasis, linalg
 from procval.hsbasis import HSTerm
 
 from helpers import random_hermitian
@@ -122,6 +122,40 @@ class TestDecompose:
         m = sum(c * PAULI[i] for i, c in enumerate(coeffs))
         tensor = hsbasis.coefficient_tensor(m, (2,))
         assert np.abs(tensor - np.asarray(coeffs)).max() < 1e-12
+
+
+def _unit(dim, k):
+    m = np.zeros((dim, dim), dtype=complex)
+    m[k, k] = 1.0
+    return m
+
+
+# Operators and their subsystem dims for the shared contraction: a
+# one-dimensional and a three-dimensional subsystem, and operators whose
+# coefficient slices are mostly zero (a matrix unit and a gallery process).
+CONTRACTION_CASES = {
+    "random-1x3x2": (random_hermitian(6, np.random.default_rng(14)), (1, 3, 2)),
+    "unit-1x3x2": (_unit(6, 4), (1, 3, 2)),
+    "unit-3x1x2": (_unit(6, 1), (3, 1, 2)),
+    "oneway-xy-d2": (gallery_entry("oneway-xy-d2").process.op, (2, 2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACTION_CASES)
+def test_coefficient_tensor_matches_reference(name):
+    m, dims = CONTRACTION_CASES[name]
+    coeffs = hsbasis.coefficient_tensor(m, dims)
+    assert coeffs.shape == tuple(d * d for d in dims)
+    for idx, val in decompose_reference(m, dims).items():
+        assert abs(val.imag) < 1e-12
+        assert coeffs[idx] == pytest.approx(val.real, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", CONTRACTION_CASES)
+def test_reconstruct_round_trip(name):
+    m, dims = CONTRACTION_CASES[name]
+    back = hsbasis.reconstruct(hsbasis.decompose(m, dims, tol=0.0), dims)
+    assert np.abs(back - m).max() <= 1e-12
 
 
 class TestReconstruct:

@@ -209,3 +209,23 @@ def test_hermiticity_defect():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert linalg.hermiticity_defect(m) == pytest.approx(1.0)
     assert linalg.hermitian_tolerance(np.zeros((2, 2))) == pytest.approx(1e-12)
+
+
+class TestFrobenius:
+    def test_matches_numpy(self):
+        m = np.arange(12.0).reshape(3, 4) * (1 - 2j)
+        assert linalg.frobenius(m) == np.linalg.norm(m)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_scale_safe_past_overflow(self, scale):
+        m = np.array([[3.0, 4.0j], [0.0, 0.0]])
+        assert linalg.frobenius(scale * m) == pytest.approx(5.0 * scale, rel=1e-15)
+
+    def test_beyond_double_range_is_infinite(self):
+        assert linalg.frobenius(np.full((2, 2), 1e308)) == np.inf
+
+    @pytest.mark.parametrize("bad, want", [(np.inf, np.inf), (np.nan, np.nan)])
+    def test_non_finite_entry(self, bad, want):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        assert linalg.frobenius(m) == pytest.approx(want, nan_ok=True)

@@ -277,6 +277,35 @@ class TestToleranceEdge:
         assert check_sequence([w, maxmix]).steps[0].w_valid is valid
 
 
+class TestOverflow:
+    """``I/2 + 1e160 (X on the input)`` on ``A(2->2)``: Hermitian, trace 2
+    and only an allowed term, but with eigenvalue ``-1e160``. Its norm and
+    the PSD threshold must not overflow to infinity and pass it."""
+
+    LAYOUT = PartyLayout.of(("A", 2, 2))
+
+    def huge(self):
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        return ProcessMatrix(self.LAYOUT, np.eye(4) / 2 + 1e160 * np.kron(x, np.eye(2)))
+
+    def test_is_invalid(self):
+        report = is_valid_process(self.huge())
+        assert report.verdict is False
+        assert report.psd_defect == pytest.approx(1e160)
+        assert report.trace_defect == 0.0
+        assert not report.forbidden_terms
+
+    def test_fold_of_overflowing_records_is_invalid(self):
+        good = ProcessMatrix(self.LAYOUT, np.eye(4) / 2)
+        assert is_valid_process(good).verdict
+        # The merged record's coefficients, extremes and norm overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_sequence([self.huge(), self.huge(), good])
+        assert report.steps[0].w_valid is False
+        assert report.steps[1].w_valid is False
+        assert report.steps[1].z_valid is True
+
+
 class TestSignalling:
     def test_product_state_signals_nowhere(self):
         rho = linalg.tensor(maximally_mixed(2), maximally_mixed(2))

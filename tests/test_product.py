@@ -461,6 +461,34 @@ class TestFactorRecord:
             w = gallery_entry(name).process
             assert FactorRecord.of(w).valid == is_valid_process(w).verdict
 
+    def test_each_operator_is_checked_once(self, monkeypatch):
+        """One finiteness and one Hermiticity check per operator: the plain
+        operator's, or a built product's own plus one per factor."""
+        def spy(name):
+            seen, real = [], getattr(linalg, name)
+
+            def wrapped(m, *args, **kwargs):
+                seen.append(np.shape(m)[0])
+                return real(m, *args, **kwargs)
+
+            monkeypatch.setattr(linalg, name, wrapped)
+            return seen
+
+        finite, hermitian = spy("_require_finite"), spy("require_hermitian")
+
+        def dims_checked(p):
+            finite.clear()
+            hermitian.clear()
+            FactorRecord.of(p)
+            assert finite == hermitian
+            return sorted(hermitian)
+
+        chan, prep = prep_measure_pair()
+        w = gallery_entry("oneway-xy-d2").process
+        assert dims_checked(w) == [16]
+        assert dims_checked(tensor_product(w, chan)) == [4, 16, 64]
+        assert dims_checked(tensor_product(tensor_product(w, chan), prep)) == [4, 4, 16, 64, 256]
+
 
 def prep_measure_pair():
     """On P(1->2) M(2->1): the identity channel from P to M, and a product
