@@ -20,6 +20,7 @@ from .gallery import gallery_entry, gallery_names
 from .io_format import ProcmatError, load_path, serialize
 from .oracle import normalization_oracle
 from .process import (
+    FactorRecord,
     PartyReduction,
     ProcessMatrix,
     Tolerances,
@@ -27,7 +28,7 @@ from .process import (
     is_valid_process,
     reduced_process,
 )
-from .product import PartyPairing, find_blocking_pairs, tensor_product, two_party_product_invalid
+from .product import PartyPairing, _closes_loop, _report, _resolve_pairing, tensor_product
 
 DEFAULT_ORACLE_THRESHOLD = 1e-6
 
@@ -41,8 +42,7 @@ def _emit(args, payload: dict, human_lines: list[str]) -> int:
     return payload["exit_code"]
 
 
-def _term_dict(term, layout) -> dict:
-    sig = classify_term(term, layout)
+def _term_dict(term, sig, layout) -> dict:
     return {
         "indices": list(term.indices),
         "coeff": term.coeff,
@@ -79,7 +79,7 @@ def cmd_validate(args) -> int:
         "verdict": report.verdict,
         "psd_defect": report.psd_defect,
         "trace_defect": report.trace_defect,
-        "forbidden_terms": [_term_dict(t, w.layout) for t, _ in report.forbidden_terms],
+        "forbidden_terms": [_term_dict(t, sig, w.layout) for t, sig in report.forbidden_terms],
         "exit_code": code,
     }
     return _emit(args, payload, lines)
@@ -91,10 +91,9 @@ def cmd_decompose(args) -> int:
     identity_coeff = float(w.op.trace().real) / w.dim
     lines = [f"decompose {args.file}", _layout_line(w.layout)]
     zeros = (0,) * (2 * w.layout.n_parties)
-    rows = [t for t in terms if not t.is_trivial()]
+    rows = [(t, classify_term(t, w.layout)) for t in terms if not t.is_trivial()]
     lines.append(f"  indices {zeros}  coeff {identity_coeff:+.6g}  type trivial")
-    for t in rows:
-        sig = classify_term(t, w.layout)
+    for t, sig in rows:
         lines.append(
             f"  indices {t.indices}  coeff {t.coeff:+.6g}  type {sig.type_string(w.layout)}"
         )
@@ -105,7 +104,7 @@ def cmd_decompose(args) -> int:
         "terms": [
             {"indices": list(zeros), "coeff": identity_coeff, "type": "trivial",
              "codes": ["0"] * w.layout.n_parties}
-        ] + [_term_dict(t, w.layout) for t in rows],
+        ] + [_term_dict(t, sig, w.layout) for t, sig in rows],
         "exit_code": 0,
     }
     return _emit(args, payload, lines)
@@ -144,7 +143,10 @@ def cmd_product(args) -> int:
     w = load_path(args.file_w)
     z = load_path(args.file_z)
     pairing = _parse_pairing(args.pairing, w, z) if args.pairing else None
-    report = find_blocking_pairs(w, z, pairing=pairing)
+    # find_blocking_pairs, keeping each input's record for the two-party shortcut.
+    resolved = _resolve_pairing(w.layout, z.layout, pairing)
+    rw, rz = FactorRecord.of(w), FactorRecord.of(z)
+    report = _report(rw, rz, resolved, tol=None)
     lines = [f"product {args.file_w} x {args.file_z}", _layout_line(report.layout)]
     if not report.w_valid or not report.z_valid:
         lines.append("warning: an input is not itself a valid process")
@@ -175,7 +177,7 @@ def cmd_product(args) -> int:
     }
 
     if w.layout.n_parties == 2 and z.layout.n_parties == 2 and pairing is None:
-        loop = two_party_product_invalid(w, z)
+        loop = _closes_loop(rw.patterns(), rz.patterns())
         payload["two_party_check_invalid"] = loop
         lines.append(f"two-party signalling check: product {'invalid' if loop else 'valid'}")
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import hsbasis, linalg
-from .process import PartyLayout, ProcessMatrix, _allowed, _party_tags, _term
+from .process import PartyLayout, ProcessMatrix, _allowed, _tag_patterns, _term
 
 __all__ = [
     "maximally_mixed",
@@ -129,8 +129,8 @@ def _allowed_patterns(layout: PartyLayout) -> np.ndarray:
     sizes = [d * d for d in layout.subsystem_dims()]
     if int(np.prod(sizes)) > (1 << 16):
         raise ValueError("layout too large to enumerate term patterns densely")
-    indices = np.argwhere(np.ones(sizes, dtype=bool))
-    return indices[_allowed(_party_tags(indices)) & indices.any(axis=1)]
+    indices, _, tags, group = _tag_patterns(np.ones(sizes), 0.0)
+    return indices[_allowed(tags)[group]]
 
 
 def random_valid_process(layout: PartyLayout, seed=None,

@@ -160,8 +160,8 @@ def _term_rows(coeffs: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.nd
     with |coefficient| > ``tol`` (default :func:`default_term_tol`)."""
     if tol is None:
         tol = default_term_tol(coeffs)
-    indices = np.argwhere((coeffs > tol) | (coeffs < -tol))
-    return indices, coeffs[tuple(indices.T)]
+    kept = (coeffs > tol) | (coeffs < -tol)
+    return np.argwhere(kept), coeffs[kept]
 
 
 def decompose(m, dims: Sequence[int], tol: float | None = None) -> list[HSTerm]:

@@ -224,26 +224,42 @@ class ValidityReport:
     forbidden_terms: tuple[tuple[HSTerm, TermSignature], ...]
 
 
-def _party_tags(indices: np.ndarray) -> np.ndarray:
-    """PartyTag value of each term (a row of basis indices) on each party."""
-    nonzero = (indices != 0).astype(np.int8)
-    return nonzero[:, 0::2] * int(PartyTag.IN) + nonzero[:, 1::2] * int(PartyTag.OUT)
-
-
 def _allowed(tags: np.ndarray) -> np.ndarray:
     """The term rule on tag rows (parties along the last axis): a term is
     allowed when it is trivial or a pure input on some party."""
     return (tags == PartyTag.IN).any(axis=-1) | (tags == PartyTag.TRIVIAL).all(axis=-1)
 
 
-def _signalling(w: ProcessMatrix) -> np.ndarray:
-    """Entry ``[i, j]`` is True when some term of ``w``'s expansion acts on
-    the output (or both ends) of party ``i`` and as a pure input on party
-    ``j``. Read off the tag rows of the coefficients; no spectrum is computed."""
-    coeffs = hsbasis.coefficient_tensor(w.op, w.layout.subsystem_dims())
-    tags = _party_tags(hsbasis._term_rows(coeffs, None)[0])
+def _signalling(patterns: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Entry ``[i, j]`` is True when one of the tag patterns of
+    :func:`_tag_patterns` acts on the output (or both ends) of party ``i``
+    and as a pure input on party ``j``."""
+    _, _, tags, _ = patterns
     out = (tags & PartyTag.OUT) != 0
     return (out[:, :, None] & (tags == PartyTag.IN)[:, None, :]).any(axis=0)
+
+
+def _tag_patterns(coeffs: np.ndarray, tol: float | None) -> tuple[np.ndarray, ...]:
+    """The nontrivial terms with |coefficient| > ``tol`` (default
+    :func:`hsbasis.default_term_tol`) grouped by tag pattern: their basis
+    indices (rows, lexicographic order) and coefficients, the distinct
+    patterns (a row of PartyTag values each, parties in layout order), and
+    the row of each term's pattern."""
+    indices, values = hsbasis._term_rows(coeffs, tol)
+    # One code per term: bit k is set when subsystem k is not the identity,
+    # so party p's tag is bits 2p and 2p+1 (numpy's 64 axes fit 64 bits).
+    codes = (indices != 0) @ (np.uint64(1) << np.arange(coeffs.ndim, dtype=np.uint64))
+    keep = codes != 0
+    codes = codes[keep]
+    patterns = np.unique(codes)
+    tags = (patterns[:, None] >> np.arange(0, coeffs.ndim, 2, dtype=np.uint64)) & np.uint64(3)
+    return indices[keep], values[keep], tags.astype(np.int8), np.searchsorted(patterns, codes)
+
+
+def _coefficients(w: ProcessMatrix) -> np.ndarray:
+    """The coefficient tensor of ``w.op``, checked once: for a non-finite
+    entry, then for Hermiticity by the extraction. No spectrum is computed."""
+    return hsbasis.coefficient_tensor(linalg._require_finite(w.op), w.layout.subsystem_dims())
 
 
 def _product_extremes(w: tuple[float, float],
@@ -293,10 +309,8 @@ class FactorRecord:
 
     @staticmethod
     def of(w: ProcessMatrix) -> "FactorRecord":
-        """The record of ``w.op``, checked once: for a non-finite entry, then
-        for Hermiticity by the coefficient extraction."""
-        dims = w.layout.subsystem_dims()
-        coeffs = hsbasis.coefficient_tensor(linalg._require_finite(w.op), dims)
+        """The record of ``w.op``, checked once by :func:`_coefficients`."""
+        coeffs = _coefficients(w)
         lam_min, lam_max = _eigenvalue_range(w)
         return FactorRecord(
             layout=w.layout,
@@ -307,29 +321,29 @@ class FactorRecord:
             trace=float(w.op.trace().real),
         )
 
-    def terms(self, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`hsbasis._term_rows` of the coefficients; the default rows are cached."""
-        return self._default_terms if tol is None else hsbasis._term_rows(self.coeffs, tol)
+    def patterns(self, tol: float | None = None) -> tuple[np.ndarray, ...]:
+        """:func:`_tag_patterns` of the coefficients; the default ones are cached."""
+        return self._default_patterns if tol is None else _tag_patterns(self.coeffs, tol)
 
     @cached_property
-    def _default_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        return hsbasis._term_rows(self.coeffs, None)
+    def _default_patterns(self) -> tuple[np.ndarray, ...]:
+        return _tag_patterns(self.coeffs, None)
 
-    def check(self, tolerances: Tolerances) -> tuple[bool, float, float, np.ndarray, np.ndarray]:
+    def check(self, tolerances: Tolerances) -> tuple[bool, float, float, tuple, np.ndarray]:
         """The validity decision, and the one place the three thresholds of
         ``tolerances`` are applied. Returns the verdict, the PSD defect (minus
-        the smallest eigenvalue), the trace defect, and the indices and
-        coefficients of the terms that break the term rule."""
-        indices, coeffs = self.terms(tolerances.term)
-        forbidden = ~_allowed(_party_tags(indices))
+        the smallest eigenvalue), the trace defect, the tag patterns the term
+        rule was read from, and the rows of the terms that break it."""
+        _, _, tags, group = terms = self.patterns(tolerances.term)
+        forbidden = np.flatnonzero(~_allowed(tags)[group])
         psd_defect = -self.lam_min
         trace_defect = abs(self.trace - self.layout.d_out)
         psd_tol = 1e-9 * self.norm if tolerances.psd is None else tolerances.psd
         trace_tol = 1e-9 * self.layout.d_out if tolerances.trace is None else tolerances.trace
         # An overflowed defect or threshold (inf <= inf) says nothing, so it fails.
         psd_ok = -np.inf < psd_defect <= psd_tol < np.inf
-        verdict = bool(psd_ok and trace_defect <= trace_tol and not forbidden.any())
-        return verdict, psd_defect, trace_defect, indices[forbidden], coeffs[forbidden]
+        verdict = bool(psd_ok and trace_defect <= trace_tol and not len(forbidden))
+        return verdict, psd_defect, trace_defect, terms, forbidden
 
     @cached_property
     def valid(self) -> bool:
@@ -348,12 +362,11 @@ def is_valid_process(w: ProcessMatrix, tolerances: Tolerances | None = None) -> 
     together with its signature. The decision is :meth:`FactorRecord.check`
     on ``w``'s record; term objects are made for the forbidden terms only.
     """
-    verdict, psd_defect, trace_defect, indices, coeffs = (
+    verdict, psd_defect, trace_defect, (indices, coeffs, tags, group), forbidden = (
         FactorRecord.of(w).check(tolerances or Tolerances()))
-    signatures = (TermSignature(tuple(PartyTag(int(t)) for t in row))
-                  for row in _party_tags(indices))
-    return ValidityReport(verdict, psd_defect, trace_defect,
-                          tuple(zip(map(_term, indices, coeffs), signatures)))
+    signatures = [TermSignature(tuple(map(PartyTag, row.tolist()))) for row in tags]
+    return ValidityReport(verdict, psd_defect, trace_defect, tuple(
+        (_term(indices[r], coeffs[r]), signatures[group[r]]) for r in forbidden))
 
 
 def signalling_directions(w: ProcessMatrix, frm: str, to: str) -> bool:
@@ -364,7 +377,7 @@ def signalling_directions(w: ProcessMatrix, frm: str, to: str) -> bool:
     j = w.layout.party_index(to)
     if i == j:
         raise ValueError("signalling needs two distinct parties")
-    return bool(_signalling(w)[i, j])
+    return bool(_signalling(_tag_patterns(_coefficients(w), None))[i, j])
 
 
 @dataclass(frozen=True)

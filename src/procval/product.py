@@ -11,18 +11,15 @@ blocking pairs.
 
 The decisions never build the product operator. Each factor is reduced once
 to a :class:`~procval.process.FactorRecord` (coefficient tensor, extreme
-eigenvalues, Frobenius norm, trace), the record that
-:func:`~procval.process.is_valid_process` also reads. A product's record
-follows from its factors' records: :mod:`procval.hsbasis` merges the
-coefficient tensors, and eigenvalues, norm and trace multiply. A product
-built by :func:`tensor_product` remembers its factors, so validating it
-reads its extreme eigenvalues from theirs the same way; its coefficients,
-norm and trace come from the built operator. The independent
-references are the record-free ``ProcessMatrix(p.layout, p.op)`` of a built
-product, whose spectrum is computed from the operator, plus coefficient
-extraction, the term loops in ``tests/helpers.py`` and ``bench/reference.py``.
-A merged record holds one coefficient per term of the product, since later
-fold steps enumerate them, so its size is capped.
+eigenvalues, Frobenius norm, trace), which :func:`~procval.process.is_valid_process`
+also reads, and its nontrivial terms are grouped once by tag pattern; the
+blocking-pair search and the two-party shortcut read those patterns. A
+product's record is merged from its factors' records (:mod:`procval.hsbasis`
+merges the coefficients; eigenvalues, norm and trace multiply), and a product
+built by :func:`tensor_product` reads its extreme eigenvalues from its
+factors'. The references are the record-free ``ProcessMatrix(p.layout, p.op)``
+and the term loops in ``tests/helpers.py`` and ``bench/reference.py``. A
+merged record holds one coefficient per product term, so its size is capped.
 """
 
 from __future__ import annotations
@@ -42,9 +39,10 @@ from .process import (
     PartyTag,
     ProcessMatrix,
     _allowed,
-    _party_tags,
+    _coefficients,
     _product_extremes,
     _signalling,
+    _tag_patterns,
     _term,
 )
 
@@ -194,48 +192,30 @@ class ProductReport:
     layout: PartyLayout
 
 
-def _nontrivial_terms(record: FactorRecord, party_order: list[int],
-                      tol: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices, coefficients and tags (parties in ``party_order``) of the
-    nontrivial terms of a record."""
-    indices, coeffs = record.terms(tol)
-    keep = indices.any(axis=1)
-    return indices[keep], coeffs[keep], _party_tags(indices[keep])[:, party_order]
-
-
 def _report(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
             tol: float | None) -> ProductReport:
     """Blocking pairs of two records and their validity, in the report the
     public product checks return."""
-    idx_w, c_w, tags_w = _nontrivial_terms(
-        w, [w.layout.party_index(p[0]) for p in pairing.pairs], tol)
-    idx_z, c_z, tags_z = _nontrivial_terms(
-        z, [z.layout.party_index(p[1]) for p in pairing.pairs], tol)
-    # Whether a pair blocks depends only on the two tag patterns, so decide
-    # the grid once per pattern pair and expand only the blocking ones.
-    pat_w, group_w = np.unique(tags_w, axis=0, return_inverse=True)
-    pat_z, group_z = np.unique(tags_z, axis=0, return_inverse=True)
-    group_w, group_z = group_w.reshape(-1), group_z.reshape(-1)
+    idx_w, c_w, pat_w, group_w = w.patterns(tol)
+    idx_z, c_z, pat_z, group_z = z.patterns(tol)
+    # Whether a pair blocks depends only on its two tag patterns, so decide the
+    # grid once per pattern pair (parties in pairing order), expand the blocking ones.
+    pat_w = pat_w[:, [w.layout.party_index(p[0]) for p in pairing.pairs]]
+    pat_z = pat_z[:, [z.layout.party_index(p[1]) for p in pairing.pairs]]
     blocks = ~_allowed(pat_w[:, None, :] | pat_z[None, :, :])
     hits = [np.flatnonzero(blocks[g, group_z]) for g in range(len(pat_w))]
 
     codes = [PartyTag(v).code for v in range(4)]
-    cases: dict[tuple[int, int], tuple[tuple[str, str], ...]] = {}
-    z_terms: dict[int, HSTerm] = {}
+    cases = {(g, h): tuple((codes[min(p, q)], codes[max(p, q)]) for p, q in zip(pat_w[g], pat_z[h]))
+             for g, h in np.argwhere(blocks).tolist()}
+    z_terms = {b: _term(idx_z[b], c_z[b]) for b in np.flatnonzero(blocks.any(axis=0)[group_z])}
     pairs, per_party = [], []
     # Terms come in lexicographic index order, so the pairs do too.
     for a in np.flatnonzero(blocks.any(axis=1)[group_w]):
-        gw = group_w[a]
         tw = _term(idx_w[a], c_w[a])
-        for b in hits[gw]:
-            if b not in z_terms:
-                z_terms[b] = _term(idx_z[b], c_z[b])
-            key = (gw, group_z[b])
-            if key not in cases:
-                cases[key] = tuple((codes[min(p, q)], codes[max(p, q)])
-                                   for p, q in zip(pat_w[key[0]], pat_z[key[1]]))
+        for b in hits[group_w[a]]:
             pairs.append((tw, z_terms[b]))
-            per_party.append(cases[key])
+            per_party.append(cases[group_w[a], group_z[b]])
     return ProductReport(
         verdict=not pairs,
         blocking_pairs=tuple(pairs),
@@ -275,7 +255,12 @@ def two_party_product_invalid(w: ProcessMatrix, z: ProcessMatrix) -> bool:
     for p in (w, z):
         if p.layout.n_parties != 2:
             raise ValueError("this check applies to two-party processes only")
-    dw, dz = _signalling(w), _signalling(z)
+    return _closes_loop(*(_tag_patterns(_coefficients(p), None) for p in (w, z)))
+
+
+def _closes_loop(w_patterns: tuple, z_patterns: tuple) -> bool:
+    """:func:`two_party_product_invalid` from the factors' tag patterns."""
+    dw, dz = _signalling(w_patterns), _signalling(z_patterns)
     return bool(dw.any() and dz.any() and (dw | dz)[[0, 1], [1, 0]].all())
 
 

@@ -7,11 +7,14 @@ import json
 import pytest
 
 from procval import (
+    find_blocking_pairs,
     gallery_entry,
     gallery_names,
+    hsbasis,
     normalization_oracle,
     serialize,
     tensor_product,
+    two_party_product_invalid,
     twoway_channel_process,
 )
 from procval.cli import main
@@ -124,6 +127,32 @@ class TestProduct:
         assert main(["product", docs["twoway-d2"], docs["twoway-d2"],
                      "--max-direct-dim", "64", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
+        assert "direct_verdict" not in payload
+
+    def test_each_input_is_extracted_once(self, docs, capsys, monkeypatch):
+        """The blocking-pair search and the two-party shortcut read the same
+        two records, so without the cross-check two operators are extracted."""
+        extracted, real = [], hsbasis.coefficient_tensor
+
+        def spy(m, dims):
+            extracted.append(tuple(dims))
+            return real(m, dims)
+
+        monkeypatch.setattr(hsbasis, "coefficient_tensor", spy)
+        assert main(["product", docs["twoway-d2"], docs["oneway-xy-d2"],
+                     "--max-direct-dim", "0", "--json"]) == 1
+        assert len(extracted) == 2
+        monkeypatch.setattr(hsbasis, "coefficient_tensor", real)
+        payload = json.loads(capsys.readouterr().out)
+        w, z = (load_path(docs[n]) for n in ("twoway-d2", "oneway-xy-d2"))
+        report = find_blocking_pairs(w, z)
+        assert payload["verdict"] is report.verdict is False
+        assert payload["blocking_pairs"] == [
+            {"first": {"indices": list(tw.indices), "coeff": tw.coeff},
+             "second": {"indices": list(tz.indices), "coeff": tz.coeff},
+             "cases": [list(c) for c in cases]}
+            for (tw, tz), cases in zip(report.blocking_pairs, report.per_party_cases)]
+        assert payload["two_party_check_invalid"] is two_party_product_invalid(w, z) is True
         assert "direct_verdict" not in payload
 
     def test_cross_check_eigendecomposes_the_built_product(self, docs, capsys, monkeypatch):

@@ -340,6 +340,21 @@ class TestSignalling:
         assert signalling_directions(w, "X", "Y")
         assert two_party_product_invalid(w, w)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, value):
+        """The signalling queries check an operator as its record does, so a
+        non-finite entry raises the error ``find_blocking_pairs`` raises."""
+        op = twoway_channel_process(2).op.copy()
+        op[0, 1] = op[1, 0] = value
+        w = ProcessMatrix(QUBIT_BIPARTITE, op)
+        good = twoway_channel_process(2)
+        for query in (lambda: signalling_directions(w, "X", "Y"),
+                      lambda: two_party_product_invalid(w, good),
+                      lambda: two_party_product_invalid(good, w),
+                      lambda: find_blocking_pairs(w, w)):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                query()
+
 
 class TestDegenerateParties:
     def test_preparation_only_party(self):

@@ -42,6 +42,10 @@ from helpers import (
 )
 
 
+THREE_PARTIES = PartyLayout.of(("A", 2, 2), ("B", 2, 1), ("C", 1, 2))
+ROTATED = PartyPairing((("B", "C", "P"), ("C", "A", "Q"), ("A", "B", "R")))
+
+
 def one_party_state(diag):
     layout = PartyLayout.of(("A", 2, 2))
     return state_process(np.diag(diag).astype(complex), layout)
@@ -234,6 +238,20 @@ class TestFindBlockingPairs:
         coeff = float(np.real(np.diag(prod.op) @ diag)) / prod.dim
         assert coeff == pytest.approx((0.5 * base) ** 2, abs=1e-12)
 
+    def test_rotated_pairing_matches_term_loop(self):
+        """Tag patterns are grouped in layout order and permuted into the
+        pairing's order; a rotation on unequal parties exercises that, at the
+        cached default threshold and at explicit ones."""
+        for seed in range(6):
+            w = random_valid_process(THREE_PARTIES, seed=seed, n_terms=10)
+            z = random_valid_process(THREE_PARTIES, seed=100 + seed, n_terms=10)
+            for tol in (None, 0.0, 0.05):
+                report = find_blocking_pairs(w, z, pairing=ROTATED, tol=tol)
+                got = [((tw.indices, tz.indices), cases) for (tw, tz), cases
+                       in zip(report.blocking_pairs, report.per_party_cases)]
+                assert got == loop_blocking_pairs(w, z, pairing=ROTATED, tol=tol)
+                assert report.verdict == (not got)
+
 
 class TestTwoPartyCheck:
     def test_same_direction_pair_is_fine(self):
@@ -406,6 +424,15 @@ class TestSequenceMatchesDenseProducts:
         straight = PartyPairing((("A", "P", "C"), ("B", "M", "D")))
         assert_fold_matches_dense([chan, prep, chan], pairings=[crossed, straight])
         assert_fold_matches_dense([chan, chan, chan], pairings=[crossed, straight])
+
+    def test_one_factor_at_two_steps_under_different_pairings(self):
+        """A factor object given twice has one record, whose cached patterns
+        are read in two party orders; neither read may change the other."""
+        other = PartyPairing((("Q", "C", "X"), ("R", "A", "Y"), ("P", "B", "Z")))
+        for seed in range(3):
+            first = random_valid_process(THREE_PARTIES, seed=seed, n_terms=8)
+            twice = random_valid_process(THREE_PARTIES, seed=50 + seed, n_terms=8)
+            assert_fold_matches_dense([first, twice, twice], pairings=[ROTATED, other])
 
 
 @st.composite
