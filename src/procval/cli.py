@@ -182,8 +182,8 @@ def cmd_product(args) -> int:
         lines.append(f"two-party signalling check: product {'invalid' if loop else 'valid'}")
 
     if report.layout.dim <= args.max_direct_dim:
-        # Without the factors the built operator is eigendecomposed, so the
-        # cross-check shares no shortcut with the verdict above.
+        # Without its carried extremes the built operator is eigendecomposed,
+        # so the cross-check shares no shortcut with the verdict above.
         built = tensor_product(w, z, pairing=pairing)
         direct = is_valid_process(ProcessMatrix(built.layout, built.op))
         payload["direct_verdict"] = direct.verdict

@@ -54,15 +54,15 @@ class ChoiChannel:
             )
         object.__setattr__(self, "choi", a)
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Raise unless the Choi operator is PSD and trace-preserving within
-        ``tol``."""
+        ``1e-10``."""
         lam = linalg.min_eigenvalue(self.choi)
-        if lam < -tol:
+        if lam < -1e-10:
             raise ValueError(f"Choi operator is not PSD: min eigenvalue {lam:.3e}")
         marginal = linalg.partial_trace(self.choi, (self.d_in, self.d_out), {1})
         defect = float(np.abs(marginal - np.eye(self.d_in)).max())
-        if defect > tol:
+        if defect > 1e-10:
             raise ValueError(f"channel is not trace preserving: defect {defect:.3e}")
 
 

@@ -119,17 +119,16 @@ class ProcessMatrix:
     full party space. Construction checks the shape only; validity is decided
     by :func:`is_valid_process`.
 
-    A product built by :func:`~procval.product.tensor_product` also remembers
-    its two factors, and its ``op`` is read-only so that it cannot drift from
-    them; :func:`is_valid_process` then reads the product's spectrum from
-    the factors'. ``ProcessMatrix(p.layout, p.op)`` is the same operator
-    without the factors, so its spectrum is computed densely.
+    A product built by :func:`~procval.product.tensor_product` also carries
+    its extreme eigenvalues, read from its factors' when built (none when a
+    factor fails its checks), and its ``op`` is read-only so that the two
+    stay in step. ``ProcessMatrix(p.layout, p.op)`` is the same operator
+    without them, so its spectrum is computed densely.
     """
 
     layout: PartyLayout
     op: np.ndarray
-    _factors: tuple["ProcessMatrix", "ProcessMatrix"] | None = field(
-        default=None, init=False, repr=False)
+    _extremes: tuple[float, float] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = linalg.as_operator(self.op)
@@ -262,28 +261,6 @@ def _coefficients(w: ProcessMatrix) -> np.ndarray:
     return hsbasis.coefficient_tensor(linalg._require_finite(w.op), w.layout.subsystem_dims())
 
 
-def _product_extremes(w: tuple[float, float],
-                      z: tuple[float, float]) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of ``W ⊗ Z`` from those of ``W`` and
-    ``Z``: the extremes of the four products."""
-    products = [p * q for p in w for q in z]
-    return min(products), max(products)
-
-
-def _eigenvalue_range(w: ProcessMatrix, check: bool = False) -> tuple[float, float]:
-    """Extreme eigenvalues of ``w.op``, checked first if ``check``. A built
-    product takes them from its factors, each checked (recursively); if one
-    fails its checks, the product's operator is eigendecomposed after all."""
-    if check:
-        linalg.require_hermitian(linalg._require_finite(w.op))
-    if w._factors is not None:
-        try:
-            return _product_extremes(*(_eigenvalue_range(f, check=True) for f in w._factors))
-        except ValueError:
-            pass
-    return linalg._hermitian_extremes(w.op)
-
-
 def _term(indices: np.ndarray, coeff) -> HSTerm:
     return HSTerm(indices=tuple(int(i) for i in indices), coeff=float(coeff))
 
@@ -295,8 +272,8 @@ class FactorRecord:
     ``(d_1^2, ...)`` over the layout's subsystems), the extreme eigenvalues
     of its Hermitian part, its Frobenius norm and its trace.
 
-    :meth:`of` reads them off an operator, the extremes of a built product
-    from its factors; the record of a tensor product is merged from its
+    :meth:`of` reads them off an operator, taking the extremes a built
+    product carries; the record of a tensor product is merged from its
     factors' records in :mod:`procval.product`.
     """
 
@@ -311,7 +288,7 @@ class FactorRecord:
     def of(w: ProcessMatrix) -> "FactorRecord":
         """The record of ``w.op``, checked once by :func:`_coefficients`."""
         coeffs = _coefficients(w)
-        lam_min, lam_max = _eigenvalue_range(w)
+        lam_min, lam_max = w._extremes or linalg._hermitian_extremes(w.op)
         return FactorRecord(
             layout=w.layout,
             coeffs=coeffs,

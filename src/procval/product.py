@@ -16,8 +16,9 @@ also reads, and its nontrivial terms are grouped once by tag pattern; the
 blocking-pair search and the two-party shortcut read those patterns. A
 product's record is merged from its factors' records (:mod:`procval.hsbasis`
 merges the coefficients; eigenvalues, norm and trace multiply), and a product
-built by :func:`tensor_product` reads its extreme eigenvalues from its
-factors'. The references are the record-free ``ProcessMatrix(p.layout, p.op)``
+built by :func:`tensor_product` carries its extreme eigenvalues, read from its
+factors' when built; a caller that drops them pays one small ``eigvalsh`` per
+factor. The references are the record-free ``ProcessMatrix(p.layout, p.op)``
 and the term loops in ``tests/helpers.py`` and ``bench/reference.py``. A
 merged record holds one coefficient per product term, so its size is capped.
 """
@@ -40,7 +41,6 @@ from .process import (
     ProcessMatrix,
     _allowed,
     _coefficients,
-    _product_extremes,
     _signalling,
     _tag_patterns,
     _term,
@@ -124,14 +124,19 @@ def _merged_subsystems(w_layout: PartyLayout, z_layout: PartyLayout,
     return out
 
 
-def _frozen(p: ProcessMatrix) -> ProcessMatrix:
-    """``p`` when it is a built product (its operator is read-only already),
-    else a read-only copy, so that a product's factors cannot change later."""
-    if p._factors is not None:
-        return p
-    op = p.op.copy()
-    op.setflags(write=False)
-    return ProcessMatrix(p.layout, op)
+def _product_extremes(w: tuple[float, float],
+                      z: tuple[float, float]) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of ``W ⊗ Z`` from those of ``W`` and
+    ``Z``: the extremes of the four products."""
+    products = [p * q for p in w for q in z]
+    return min(products), max(products)
+
+
+def _checked_extremes(p: ProcessMatrix) -> tuple[float, float]:
+    """The extreme eigenvalues of ``p.op`` behind its finiteness and
+    Hermiticity checks: those a built product carries, else one ``eigvalsh``."""
+    a = linalg.require_hermitian(linalg._require_finite(p.op))
+    return p._extremes or linalg._hermitian_extremes(a)
 
 
 def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
@@ -140,12 +145,16 @@ def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
     layout (first factor's subsystem before the second's within each merged
     input and output). No term-rule check is performed here.
 
-    The result remembers read-only copies of ``w`` and ``z`` and its ``op``
-    is read-only, so :func:`~procval.process.is_valid_process` reads its
-    extreme eigenvalues from the factors'."""
+    The result's ``op`` is read-only, and it carries its extreme eigenvalues,
+    read now from the factors' behind their finiteness and Hermiticity
+    checks. It carries none when a factor fails one (``(iH) ⊗ (iH)`` is
+    Hermitian); its operator is then eigendecomposed when validated."""
     pairing = _resolve_pairing(w.layout, z.layout, pairing)
     layout = combined_layout(w.layout, z.layout, pairing)
-    w, z = _frozen(w), _frozen(z)
+    try:
+        extremes = _product_extremes(_checked_extremes(w), _checked_extremes(z))
+    except ValueError:
+        extremes = None
     raw = linalg.tensor(w.op, z.op)
     dims = w.layout.subsystem_dims() + z.layout.subsystem_dims()
     nw = 2 * w.layout.n_parties
@@ -153,19 +162,22 @@ def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
             for k in (a, nw + b)]
     built = ProcessMatrix(layout=layout, op=linalg.permute_subsystems(raw, dims, perm))
     built.op.setflags(write=False)
-    object.__setattr__(built, "_factors", (w, z))
+    object.__setattr__(built, "_extremes", extremes)
     return built
 
 
 def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
                    layout: PartyLayout) -> FactorRecord:
     """Record of the tensor product of two records in the merged ``layout``,
-    without building the product operator."""
+    without building the product operator. Its entries may overflow; the
+    caller checks them."""
     lam_min, lam_max = _product_extremes((w.lam_min, w.lam_max), (z.lam_min, z.lam_max))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = hsbasis._merge_coefficients(
+            w.coeffs, z.coeffs, _merged_subsystems(w.layout, z.layout, pairing))
     return FactorRecord(
         layout=layout,
-        coeffs=hsbasis._merge_coefficients(
-            w.coeffs, z.coeffs, _merged_subsystems(w.layout, z.layout, pairing)),
+        coeffs=coeffs,
         lam_min=lam_min,
         lam_max=lam_max,
         norm=w.norm * z.norm,
@@ -286,7 +298,8 @@ def check_sequence(ps: Sequence[ProcessMatrix],
     reduced once to a :class:`~procval.process.FactorRecord`, and the
     accumulated product's record is merged from its factors' records, so
     ``w_valid`` of step k is decided from the factors alone. A fold whose last
-    merged record would exceed 2**24 coefficients is refused up front.
+    merged record would exceed 2**24 coefficients is refused up front, and
+    one whose merged record overflows raises at that step.
     """
     if len(ps) < 2:
         raise ValueError("need at least two processes to form a product")
@@ -310,6 +323,10 @@ def check_sequence(ps: Sequence[ProcessMatrix],
             first_bad = k
         if k + 2 < len(ps):
             acc = _merge_records(acc, rec, pairing, report.layout)
+            if not (np.isfinite(acc.coeffs).all()
+                    and np.isfinite([acc.lam_min, acc.lam_max, acc.norm, acc.trace]).all()):
+                raise ValueError(f"step {k + 1}: the product of the first {k + 2} factors "
+                                 "has a non-finite entry")
     return SequenceReport(
         verdict=all(s.verdict for s in steps),
         steps=tuple(steps),

@@ -64,9 +64,9 @@ def suite_pairs(suite, seed: int = 7, n: int = 200):
 
 
 def dense_product(w, z, pairing=None):
-    """The built product of ``w`` and ``z`` without its factors: validating
-    it eigendecomposes the whole operator, the dense reference the factor
-    paths are compared against."""
+    """The built product of ``w`` and ``z`` without its carried extremes:
+    validating it eigendecomposes the whole operator, the dense reference the
+    factor paths are compared against."""
     built = tensor_product(w, z, pairing=pairing)
     return ProcessMatrix(built.layout, built.op)
 

@@ -211,6 +211,23 @@ def test_hermiticity_defect():
     assert linalg.hermitian_tolerance(np.zeros((2, 2))) == pytest.approx(1e-12)
 
 
+@pytest.mark.parametrize("dim", [16, 1296])
+def test_hermiticity_defect_in_blocks_matches_one_shot(dim):
+    """The blocked comparison gives the one-shot value bit for bit, so
+    ``require_hermitian`` raises with the same text."""
+    rng = np.random.default_rng(dim)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    corner = np.eye(dim, dtype=complex)
+    corner[-1, -2] = 1j  # the only deviation, in the last row block
+    for m in (g, corner, (g + g.conj().T) / 2 + 1e-9 * g):
+        one_shot = float(np.abs(m - m.conj().T).max())
+        assert linalg.hermiticity_defect(m) == one_shot
+    with pytest.raises(ValueError) as err:
+        linalg.require_hermitian(m)
+    assert str(err.value) == (f"matrix is not Hermitian: max |M - M^dagger| = "
+                              f"{one_shot:.3e} > {linalg.hermitian_tolerance(m):.3e}")
+
+
 class TestFrobenius:
     def test_matches_numpy(self):
         m = np.arange(12.0).reshape(3, 4) * (1 - 2j)

@@ -295,15 +295,17 @@ class TestOverflow:
         assert report.trace_defect == 0.0
         assert not report.forbidden_terms
 
-    def test_fold_of_overflowing_records_is_invalid(self):
+    def test_fold_of_overflowing_records_raises(self):
+        """The merged record's coefficients, extremes and norm overflow: the
+        fold raises where the built product of the same prefix does."""
         good = ProcessMatrix(self.LAYOUT, np.eye(4) / 2)
         assert is_valid_process(good).verdict
-        # The merged record's coefficients, extremes and norm overflow.
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = check_sequence([self.huge(), self.huge(), good])
-        assert report.steps[0].w_valid is False
-        assert report.steps[1].w_valid is False
-        assert report.steps[1].z_valid is True
+        with pytest.raises(ValueError, match="^step 1: .* has a non-finite entry$"):
+            check_sequence([self.huge(), self.huge(), good])
+        with np.errstate(over="ignore"):
+            prefix = tensor_product(self.huge(), self.huge())
+        with pytest.raises(ValueError, match="non-finite entry"):
+            is_valid_process(prefix)
 
 
 class TestSignalling:

@@ -22,6 +22,7 @@ from procval import (
     oneway_channel_process,
     random_valid_process,
     reduced_process,
+    signalling_directions,
     state_process,
     tensor_product,
     two_party_product_invalid,
@@ -435,6 +436,40 @@ class TestSequenceMatchesDenseProducts:
             assert_fold_matches_dense([first, twice, twice], pairings=[ROTATED, other])
 
 
+def cyclic_triple():
+    """Three valid three-party factors on X, Y and Z that signal X→Y, Y→Z
+    and Z→X: every pair has a valid product, the three together do not."""
+    xy, yx = oneway_channel_process(2, "xy").op, oneway_channel_process(2, "yx").op
+    return (ProcessMatrix(PartyLayout.of(("X", 2, 2), ("Y", 2, 2), ("Z", 1, 1)), xy),
+            ProcessMatrix(PartyLayout.of(("X", 1, 1), ("Y", 2, 2), ("Z", 2, 2)), xy),
+            ProcessMatrix(PartyLayout.of(("X", 2, 2), ("Y", 1, 1), ("Z", 2, 2)), yx))
+
+
+class TestCyclicTriple:
+    """The loop X→Y→Z→X closes only with all three factors. The built triple
+    (dim 4096) is left out: building and validating it takes seconds."""
+
+    def test_each_factor_signals_one_way(self):
+        for p, direction in zip(cyclic_triple(), ("XY", "YZ", "ZX")):
+            assert is_valid_process(p).verdict
+            assert {frm + to for frm, to in itertools.permutations("XYZ", 2)
+                    if signalling_directions(p, frm, to)} == {direction}
+
+    def test_every_pair_is_compatible(self):
+        for w, z in itertools.permutations(cyclic_triple(), 2):
+            report = find_blocking_pairs(w, z)
+            assert report.verdict is True and not report.blocking_pairs
+
+    def test_every_order_fails_at_the_second_step(self):
+        for order in itertools.permutations(cyclic_triple()):
+            report = check_sequence(list(order))
+            assert report.verdict is False and report.first_invalid_step == 1
+            assert len(report.steps[1].blocking_pairs) == 6
+
+    def test_fold_matches_dense(self):
+        assert_fold_matches_dense(list(cyclic_triple()))
+
+
 @st.composite
 def _layouts(draw, n_parties):
     dims = draw(st.lists(st.sampled_from([1, 1, 1, 2, 2, 3]), min_size=2 * n_parties,
@@ -489,8 +524,9 @@ class TestFactorRecord:
             assert FactorRecord.of(w).valid == is_valid_process(w).verdict
 
     def test_each_operator_is_checked_once(self, monkeypatch):
-        """One finiteness and one Hermiticity check per operator: the plain
-        operator's, or a built product's own plus one per factor."""
+        """One finiteness and one Hermiticity check per operator, counted over
+        build and validation: the plain operator's, or a built product's own
+        plus one per factor when it is built."""
         def spy(name):
             seen, real = [], getattr(linalg, name)
 
@@ -503,18 +539,19 @@ class TestFactorRecord:
 
         finite, hermitian = spy("_require_finite"), spy("require_hermitian")
 
-        def dims_checked(p):
+        def dims_checked(build):
             finite.clear()
             hermitian.clear()
-            FactorRecord.of(p)
+            FactorRecord.of(build())
             assert finite == hermitian
             return sorted(hermitian)
 
         chan, prep = prep_measure_pair()
         w = gallery_entry("oneway-xy-d2").process
-        assert dims_checked(w) == [16]
-        assert dims_checked(tensor_product(w, chan)) == [4, 16, 64]
-        assert dims_checked(tensor_product(tensor_product(w, chan), prep)) == [4, 4, 16, 64, 256]
+        assert dims_checked(lambda: w) == [16]
+        assert dims_checked(lambda: tensor_product(w, chan)) == [4, 16, 64]
+        assert dims_checked(lambda: tensor_product(tensor_product(w, chan), prep)) == [
+            4, 4, 16, 64, 256]
 
 
 def prep_measure_pair():
@@ -530,9 +567,10 @@ def prep_measure_pair():
 
 
 class TestBuiltProductSpectrum:
-    """A ``tensor_product`` result takes its extreme eigenvalues from its
-    factors; everything else, and every verdict, is that of the record-free
-    copy ``dense_product``, whose operator is eigendecomposed."""
+    """A ``tensor_product`` result carries extreme eigenvalues read from its
+    factors' when it is built; everything else, and every verdict, is that of
+    the record-free copy ``dense_product``, whose operator is eigendecomposed.
+    Eigendecompositions are counted over build and validation."""
 
     @staticmethod
     def assert_matches_dense(p):
@@ -554,13 +592,13 @@ class TestBuiltProductSpectrum:
                 tensor_product(gallery_entry(a).process, gallery_entry(b).process))
 
     def test_nested_product(self, monkeypatch):
+        h = twoway_channel_process(2)
         chan, prep = prep_measure_pair()
-        inner = tensor_product(twoway_channel_process(2), chan)
-        p = tensor_product(inner, prep)
-        assert p._factors[0] is inner and p.dim == 256
         eigvalsh_dims = record_eigvalsh_dims(monkeypatch)
+        # The inner product's own operator is never eigendecomposed.
+        p = tensor_product(tensor_product(h, chan), prep)
         is_valid_process(p)
-        assert sorted(eigvalsh_dims) == [4, 4, 16]
+        assert p.dim == 256 and sorted(eigvalsh_dims) == [4, 4, 16]
         self.assert_matches_dense(p)
 
     def test_non_positional_pairing(self):
@@ -582,8 +620,10 @@ class TestBuiltProductSpectrum:
         eigvalsh_dims = record_eigvalsh_dims(monkeypatch)
         is_valid_process(tensor_product(w, z))
         assert eigvalsh_dims == [16, 4]
-        is_valid_process(dense_product(w, z))
-        assert eigvalsh_dims == [16, 4, 64]
+        dense = dense_product(w, z)
+        eigvalsh_dims.clear()
+        is_valid_process(dense)
+        assert eigvalsh_dims == [64]
 
     @pytest.mark.parametrize("case", ["defect-on-one", "both-anti-hermitian"])
     def test_factor_failing_hermiticity_gives_dense_answer(self, case):
@@ -598,6 +638,7 @@ class TestBuiltProductSpectrum:
             linalg.require_hermitian(w.op)
         p = tensor_product(w, z)
         linalg.require_hermitian(p.op)
+        assert p._extremes is None
         got, want = is_valid_process(p), is_valid_process(ProcessMatrix(p.layout, p.op))
         assert got == want
 
@@ -614,17 +655,17 @@ class TestBuiltProductSpectrum:
             errors.append(str(err.value))
         assert errors[0] == errors[1]
 
-    def test_product_is_read_only_and_keeps_its_factors(self):
+    def test_product_is_read_only_and_keeps_its_extremes(self):
         h = twoway_channel_process(2)
         w = ProcessMatrix(h.layout, h.op.copy())
         p = tensor_product(w, w)
         with pytest.raises(ValueError, match="read-only"):
             p.op[0, 0] = 1.0
         before = FactorRecord.of(p)
-        w.op[:] = 0.0  # the product remembers a copy of its factor
+        w.op[:] = 0.0  # the extremes were read when the product was built
         after = FactorRecord.of(p)
         assert (after.lam_min, after.lam_max) == (before.lam_min, before.lam_max)
-        assert ProcessMatrix(p.layout, p.op)._factors is None
+        assert ProcessMatrix(p.layout, p.op)._extremes is None
 
 
 @st.composite
