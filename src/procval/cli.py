@@ -320,9 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="probe probability normalization")
     p.add_argument("file")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=int, default=0,
+                   help="random channel tuples to add to the exact sweep (default 0)")
     p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("PROCVAL_SEED", "0")))
+                   default=int(os.environ.get("PROCVAL_SEED", "0")),
+                   help="seed of the random tuples (default $PROCVAL_SEED or 0); "
+                        "matters only with --samples N > 0")
     p.add_argument("--threshold", type=float, default=DEFAULT_ORACLE_THRESHOLD)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)

@@ -113,14 +113,15 @@ def _contract(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     return x.reshape([t.shape[0] for t in mats])
 
 
-def coefficient_tensor(m, dims: Sequence[int]) -> np.ndarray:
+def coefficient_tensor(m, dims: Sequence[int], norm: float | None = None) -> np.ndarray:
     """Full coefficient array of a Hermitian operator over the tensor-product
     basis, shape (d_1^2, ..., d_n^2); entry [i1,...,in] = trace(m s_I) / D.
 
-    Raises ValueError for non-Hermitian input or if the extracted
-    coefficients carry an imaginary residue above 1e-10 (scaled).
+    Raises ValueError for non-Hermitian input (``norm`` as in
+    :func:`linalg.hermitian_tolerance`) or if the extracted coefficients
+    carry an imaginary residue above 1e-10 (scaled).
     """
-    a = linalg.require_hermitian(m)
+    a = linalg.require_hermitian(m, norm)
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     total = math.prod(dims)

@@ -7,13 +7,15 @@ fixed key order, shortest round-trip float representation, one entry per
 line, newline-terminated — so equal values produce byte-identical documents
 and serialize(parse(serialize(w))) is a fixed point. Entry flattening follows
 the package-wide convention: row-major, inputs before outputs, parties in
-declared order.
+declared order. A document in the canonical layout is read in one flat pass;
+any other by ``json.loads`` of the whole text, to the same values and errors.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from typing import NoReturn
 
 import numpy as np
@@ -102,14 +104,72 @@ def _entry_array(entries: list) -> np.ndarray:
     return flat.view(np.complex128)
 
 
+# The canonical layout up to the first entry, as serialize writes it. The
+# "entries": [ a match ends on is matrix.entries: every key before it is fixed
+# and each party line is one flat object.
+_STRING = r'"(?:[^"\\\n]|\\.)*"'
+_PARTY = r'    \{"name": %s, "d_in": -?[0-9]+, "d_out": -?[0-9]+\}' % _STRING
+_CANONICAL_HEAD = re.compile(
+    r'\{\n  "format_version": %s,\n  "parties": \[\n(?:%s,\n)*%s\n'
+    r'  \],\n  "matrix": \{\n    "dim": -?[0-9]+,\n    "entries": \[\n' % (_STRING, _PARTY, _PARTY))
+# After the last entry: the closing lines, with metadata on one line or none.
+_CANONICAL_TAIL = re.compile(r'\n    \]\n  \}(?:,\n  "metadata": ([^\n]*))?\n\}\n')
+_NUMBER_CHARS = b"0123456789.eE+-"
+_ENTRY_LINE = b"      [, ],\n"  # an entry line without its numbers
+
+
+def _canonical_document(text: str) -> dict | None:
+    """The decoded document when ``text`` has the canonical layout and every
+    entry is a pair of numbers that fit a double, with ``matrix.entries``
+    already a complex128 array; otherwise None.
+
+    The header and metadata go through ``json.loads`` as on the general path.
+    The entry lines must be ``serialize``'s lines, each value one run of
+    ``0-9 . e E + -`` in its place, and all ``2 dim^2`` values decode as one
+    flat JSON array: the same scanner as the general path, so ``-0`` still
+    reads as ``+0.0`` and ``1e400`` as ``inf``. Anything else (other
+    whitespace, ``NaN``, ``true``, strings, an integer beyond the double
+    range, a truncated document) gives None, and the general path reads the
+    text and raises its errors."""
+    head = _CANONICAL_HEAD.match(text)
+    tail_at = text.rfind("\n    ]\n  }")
+    tail = _CANONICAL_TAIL.fullmatch(text, tail_at) if head and tail_at >= head.end() else None
+    if tail is None:
+        return None
+    try:
+        doc = json.loads(text[:head.end()] + "]}}")
+        if tail[1] is not None:
+            doc["metadata"] = json.loads(tail[1])  # one value, so no key follows it
+        n = doc["matrix"]["dim"] ** 2
+        body = text[head.end():tail_at].encode()
+        # Each entry line has 14 characters or more, which bounds the template.
+        if not 0 < 14 * n - 2 <= len(body):
+            return None
+        # Without its number characters the body must be the entry lines, and
+        # none of them may sit outside a value's place: in the indent, inside
+        # ", " or "],\n", or after the last "]".
+        if not (body.translate(None, _NUMBER_CHARS) == _ENTRY_LINE * (n - 1) + _ENTRY_LINE[:-2]
+                and body.startswith(b"      [") and body.endswith(b"]")
+                and body.count(b"],\n      [") == n - 1 and body.count(b", ") == n):
+            return None
+        values = json.loads(b"[" + body.translate(None, b"[] \n") + b"]")
+        flat = np.fromiter(values, dtype=np.float64, count=2 * n)
+    except (ValueError, OverflowError):  # a JSON error, an integer beyond the double range
+        return None
+    doc["matrix"]["entries"] = flat.view(np.complex128)
+    return doc
+
+
 def parse_document(text: str) -> tuple[ProcessMatrix, dict]:
     """Parse a document, returning the process and its metadata block."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise MalformedDocumentError(
-            f"invalid JSON: {err.msg}", f"line {err.lineno}, column {err.colno}"
-        ) from err
+    doc = _canonical_document(text)
+    if doc is None:  # the general path
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise MalformedDocumentError(
+                f"invalid JSON: {err.msg}", f"line {err.lineno}, column {err.colno}"
+            ) from err
     _require(isinstance(doc, dict), MalformedDocumentError,
              "document must be a JSON object", "$")
     version = doc.get("format_version")
@@ -145,12 +205,13 @@ def parse_document(text: str) -> tuple[ProcessMatrix, dict]:
              "matrix.dim must be a positive integer", "matrix.dim")
     _require(dim == layout.dim, DimensionError,
              f"matrix.dim = {dim} but the parties imply {layout.dim}", "matrix.dim")
-    entries = matrix.get("entries")
-    _require(isinstance(entries, list), MalformedDocumentError,
-             "matrix.entries must be a list", "matrix.entries")
-    _require(len(entries) == dim * dim, DimensionError,
-             f"expected {dim * dim} entries, got {len(entries)}", "matrix.entries")
-    op = _entry_array(entries)
+    op = matrix.get("entries")
+    if not isinstance(op, np.ndarray):  # a list from json.loads, not yet checked
+        _require(isinstance(op, list), MalformedDocumentError,
+                 "matrix.entries must be a list", "matrix.entries")
+        _require(len(op) == dim * dim, DimensionError,
+                 f"expected {dim * dim} entries, got {len(op)}", "matrix.entries")
+        op = _entry_array(op)
 
     metadata = doc.get("metadata", {})
     _require(isinstance(metadata, dict), MalformedDocumentError,

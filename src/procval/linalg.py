@@ -56,16 +56,17 @@ def hermiticity_defect(m) -> float:
     return float(max(blocks, key=lambda v: (v != v, v)))  # NaN wins, as in np.max
 
 
-def hermitian_tolerance(m) -> float:
-    """Scale-aware tolerance below which a matrix counts as Hermitian."""
-    return 1e-12 * (1.0 + frobenius(m))
+def hermitian_tolerance(m, norm: float | None = None) -> float:
+    """Scale-aware tolerance below which a matrix counts as Hermitian.
+    ``norm`` is ``frobenius(m)``, when the caller has taken it already."""
+    return 1e-12 * (1.0 + (frobenius(m) if norm is None else norm))
 
 
-def require_hermitian(m) -> np.ndarray:
+def require_hermitian(m, norm: float | None = None) -> np.ndarray:
     """Return ``m`` as complex128, raising ValueError if it is not Hermitian
-    within the scale-aware :func:`hermitian_tolerance`."""
+    within the scale-aware :func:`hermitian_tolerance` (``norm`` as there)."""
     a = as_operator(m)
-    limit = hermitian_tolerance(a)
+    limit = hermitian_tolerance(a, norm)
     defect = hermiticity_defect(a)
     if defect > limit:
         raise ValueError(

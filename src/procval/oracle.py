@@ -250,10 +250,11 @@ class OracleVerdict:
     evaluations: int
 
 
-def normalization_oracle(w: ProcessMatrix, samples: int = 200,
+def normalization_oracle(w: ProcessMatrix, samples: int = 0,
                          seed: int = 0) -> OracleVerdict:
     """Probe probability normalization with the sweep, which decides it, plus
-    random channel tuples.
+    ``samples`` random channel tuples (none by default: the sweep alone
+    decides normalization).
 
     Every tuple is trace preserving, so a valid process must give p = 1 each
     time; the report carries the worst deviation and its witness tuple. A

@@ -286,15 +286,18 @@ class FactorRecord:
 
     @staticmethod
     def of(w: ProcessMatrix) -> "FactorRecord":
-        """The record of ``w.op``, checked once by :func:`_coefficients`."""
-        coeffs = _coefficients(w)
-        lam_min, lam_max = w._extremes or linalg._hermitian_extremes(w.op)
+        """The record of ``w.op``, checked once as by :func:`_coefficients`;
+        the norm is taken once, for the record and the Hermiticity check."""
+        a = linalg._require_finite(w.op)
+        norm = linalg.frobenius(a)
+        coeffs = hsbasis.coefficient_tensor(a, w.layout.subsystem_dims(), norm)
+        lam_min, lam_max = w._extremes or linalg._hermitian_extremes(a)
         return FactorRecord(
             layout=w.layout,
             coeffs=coeffs,
             lam_min=lam_min,
             lam_max=lam_max,
-            norm=linalg.frobenius(w.op),
+            norm=norm,
             trace=float(w.op.trace().real),
         )
 

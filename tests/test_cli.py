@@ -134,9 +134,9 @@ class TestProduct:
         two records, so without the cross-check two operators are extracted."""
         extracted, real = [], hsbasis.coefficient_tensor
 
-        def spy(m, dims):
+        def spy(m, dims, *args):
             extracted.append(tuple(dims))
-            return real(m, dims)
+            return real(m, dims, *args)
 
         monkeypatch.setattr(hsbasis, "coefficient_tensor", spy)
         assert main(["product", docs["twoway-d2"], docs["oneway-xy-d2"],
@@ -212,6 +212,25 @@ class TestOracle:
             if code == 0:
                 assert payload["max_deviation"] <= 1e-12, name
         assert codes == {0, 1}
+
+    def test_default_is_the_sweep_alone(self, docs, capsys):
+        """With no flags the oracle draws no random tuples: its payload is the
+        ``--samples 0`` one, and it counts only the 196 sweep tuples of a
+        two-party qubit process."""
+        assert main(["oracle", docs["twoway-d2"], "--json"]) == 0
+        default = capsys.readouterr().out
+        assert main(["oracle", docs["twoway-d2"], "--samples", "0", "--json"]) == 0
+        assert capsys.readouterr().out == default
+        payload = json.loads(default)
+        assert payload["samples"] == 0
+        assert payload["evaluations"] == 14 * 14
+        assert payload["witness_label"].startswith("sweep[")
+
+    def test_default_still_fails_the_squared_twoway(self, docs, capsys):
+        assert main(["oracle", docs["squared"]]) == 1
+        out = capsys.readouterr().out
+        assert f"witness: {SQUARED_TWOWAY_WITNESS}" in out
+        assert "verdict: FAIL" in out
 
     def test_seed_env_default(self, docs, monkeypatch, capsys):
         monkeypatch.setenv("PROCVAL_SEED", "17")

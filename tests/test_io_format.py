@@ -15,6 +15,7 @@ from procval import (
     parse,
     serialize,
 )
+from procval import io_format
 from procval.io_format import (
     DimensionError,
     MalformedDocumentError,
@@ -262,3 +263,159 @@ def test_io_matches_the_loop_reference(dims, pool, seed, bad):
     canonical = serialize(w)
     assert canonical == loop_serialize(ProcessMatrix(layout, expect.reshape(w.op.shape)))
     assert serialize(parse(canonical)) == canonical
+
+
+# The canonical-layout reader: on every document it either reads what the
+# json.loads path reads, bit for bit, or leaves the text to that path.
+
+def read(text):
+    """What ``parse_document`` gives: the operator's bits, layout and
+    metadata, or the error's type and message."""
+    try:
+        w, meta = parse_document(text)
+    except Exception as err:  # both readers must raise the same error
+        return type(err), str(err)
+    return w.op.tobytes(), w.layout, json.dumps(meta)
+
+
+def read_both(text):
+    """``read`` with the canonical-layout reader, and without it."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(io_format, "_canonical_document", lambda text: None)
+        general = read(text)
+    return read(text), general
+
+
+def canonical(name="twoway-d2", metadata=None):
+    return serialize(gallery_entry(name).process, metadata=metadata)
+
+
+def set_entry(text, k, line):
+    """``text`` with its entry line ``k`` (no indent, no comma) replaced."""
+    lines = text.split("\n")
+    at = lines.index('    "entries": [') + 1 + k
+    lines[at] = "      " + line + ("," if lines[at].endswith(",") else "")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_flat_reader_reads_every_gallery_document(name):
+    text = canonical(name, {"description": gallery_entry(name).notes})
+    assert io_format._canonical_document(text) is not None
+    fast, general = read_both(text)
+    assert fast == general
+    assert serialize(*parse_document(text)) == text
+
+
+@pytest.mark.parametrize("line, expect", [
+    ("[-0, -0.0]", complex(0.0, -0.0)),  # the integer -0 is +0, as json.loads reads it
+    ("[1E+2, 2.5e-3]", complex(100.0, 0.0025)),
+    ("[1e400, -1e400]", complex(math.inf, -math.inf)),
+    ("[12345678901234567890123, 2]", complex(12345678901234567890123, 2)),
+])
+def test_flat_reader_reads_values_as_json_loads(line, expect):
+    text = set_entry(canonical(), 3, line)
+    assert io_format._canonical_document(text) is not None
+    fast, general = read_both(text)
+    assert fast == general
+    value = parse(text).op.reshape(-1)[3]
+    assert np.array([value]).tobytes() == np.array([expect]).tobytes()
+
+
+def mutations():
+    text = canonical()
+    lines = text.split("\n")
+    at = lines.index('    "entries": [') + 1
+    yield "400-digit integer", set_entry(text, 5, f"[{'9' * 400}, 0.0]")
+    yield "NaN", set_entry(text, 1, "[NaN, 0.0]")
+    yield "Infinity", set_entry(text, 1, "[0.5, -Infinity]")
+    yield "true", set_entry(text, 2, "[true, 0.0]")
+    yield "string", set_entry(text, 2, '["1.0", 0.0]')
+    yield "null", set_entry(text, 2, "[0.0, null]")
+    yield "empty value", set_entry(text, 2, "[, 0.0]")
+    yield "plus sign", set_entry(text, 2, "[+1, 0.0]")
+    yield "leading zero", set_entry(text, 2, "[01, 0.0]")
+    yield "bare point", set_entry(text, 2, "[1., 0.0]")
+    yield "two numbers in one place", set_entry(text, 2, "[1 2, 0.0]")
+    yield "3 + 1 numbers", set_entry(set_entry(text, 6, "[1, 2, 3]"), 7, "[4]")
+    yield "nested pair", set_entry(text, 6, "[[0.0], 0.0]")
+    yield "brackets in metadata", canonical(metadata={"note": "[1, 2], [3]", ",": "]"})
+    yield "entries block in metadata", text.replace(
+        "\n  }\n}\n", '\n  },\n  "metadata": {\n    "entries": [\n      [1, 2]\n    ]\n  }\n}\n')
+    yield "metadata that is not one value", canonical(metadata={"a": 1}).replace(
+        '{"a": 1}', '{"a": 1}, "matrix": {"dim": 16, "entries": []}')
+    yield "duplicate matrix first", text.replace(
+        '  "matrix": {', '  "matrix": {"dim": 16, "entries": []},\n  "matrix": {', 1)
+    yield "duplicate matrix last", text.replace(
+        "\n  }\n}\n", '\n  },\n  "matrix": {"dim": 16, "entries": []}\n}\n')
+    yield "digit after a pair", text.replace("[0.5, 0.0],", "[0.5, 0.0]1,", 1)
+    yield "digit after a line", text.replace("[0.5, 0.0],\n", "[0.5, 0.0],1\n", 1)
+    yield "digit in the indent", text.replace("\n      [0.25", "\n     1 [0.25", 1)
+    yield "digit before a pair", text.replace("      [0.25", "      1[0.25", 1)
+    yield "digit inside the pair comma", text.replace("[0.5, 0.0]", "[0.5,1 0.0]", 1)
+    yield "digit after the last pair", text.replace("[0.5, 0.0]\n    ]", "[0.5, 0.0]1\n    ]")
+    yield "CRLF", text.replace("\n", "\r\n")
+    yield "extra spaces", text.replace("[0.0, 0.0]", "[0.0,  0.0]")
+    yield "tab", text.replace("      [0.5", "\t[0.5", 1)
+    yield "no final newline", text[:-1]
+    yield "truncated", text[:len(text) // 2]
+    yield "truncated after the entries", "\n".join(lines[:at + 256])
+    yield "entry missing", "\n".join(lines[:at + 255] + lines[at + 256:])
+    yield "entry added", "\n".join(lines[:at] + ["      [0.0, 0.0],"] + lines[at:])
+    yield "version", text.replace("procmat/1", "procmat/2")
+    yield "dim", text.replace('"dim": 16', '"dim": 4')
+    yield "dim zero", text.replace('"dim": 16', '"dim": 0')
+    yield "negative dim", text.replace('"dim": 16', '"dim": -16')
+    yield "leading-zero dim", text.replace('"dim": 16', '"dim": 016')
+    yield "d_in", text.replace('"d_in": 2', '"d_in": 0', 1)
+    yield "escaped name", text.replace('"name": "X"', '"name": "\\u0058\\""')
+    yield "duplicate name", text.replace('"name": "Y"', '"name": "X"')
+
+
+@pytest.mark.parametrize("text", [t for _, t in mutations()], ids=[k for k, _ in mutations()])
+def test_flat_reader_matches_json_loads_on_mutated_documents(text):
+    assert text != canonical()
+    fast, general = read_both(text)
+    assert fast == general
+
+
+def test_integer_beyond_the_double_range_is_left_to_the_general_path():
+    text = set_entry(canonical(), 5, f"[{'9' * 400}, 0.0]")
+    assert io_format._canonical_document(text) is None
+    with pytest.raises(MalformedDocumentError, match="does not fit a double") as err:
+        parse(text)
+    assert err.value.location == "matrix.entries[5]"
+
+
+TOKENS = ["0.0", "-0.0", "0", "-0", "1", "-", "e", ".", "1E+2", "1e-5", "1e400", "-1e400", "2.5",
+          "17976931348623157" + "0" * 292, "1" + "0" * 400, "NaN", "Infinity",
+          "true", "null", '"0.5"', "", "1.", ".5", "+1", "01", "1e", "1e+",
+          "0x1", "1_0", "1 2", "[1]", "1,2", "{}"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["twoway-d2", "state-bell-d2", "oneway-xy-d2"]),
+       values=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(TOKENS)),
+                       max_size=3),
+       inserts=st.lists(st.tuples(st.floats(0, 1), st.sampled_from(TOKENS + list("\r\n []{},\""))),
+                        max_size=2))
+def test_flat_reader_matches_json_loads_on_random_edits(name, values, inserts):
+    """Tokens put in place of entry values, then tokens inserted anywhere in
+    the text (the header, the closing lines and the metadata included):
+    whatever the text becomes, the reader with the canonical-layout path
+    gives what the json.loads path gives."""
+    text = canonical(name, {"note": "a [b], c"})
+    lines = text.split("\n")
+    first = lines.index('    "entries": [') + 1
+    pairs = [line.strip().rstrip(",")[1:-1].split(", ") for line in lines[first:first + 256]]
+    for where, token in values:
+        k = int(where * 512)
+        pairs[k // 2][k % 2] = token
+    lines[first:first + 256] = [f"      [{a}, {b}]," for a, b in pairs]
+    lines[first + 255] = lines[first + 255][:-1]
+    text = "\n".join(lines)
+    for where, token in inserts:
+        at = int(where * len(text))
+        text = text[:at] + token + text[at:]
+    fast, general = read_both(text)
+    assert fast == general

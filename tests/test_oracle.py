@@ -220,6 +220,12 @@ class TestNormalizationOracle:
         verdict = normalization_oracle(twoway_channel_process(2), samples=7, seed=0)
         assert verdict.evaluations == 14 * 14 + 7
 
+    def test_default_draws_no_samples(self):
+        w = twoway_channel_process(2)
+        a, b = normalization_oracle(w), normalization_oracle(w, samples=0, seed=5)
+        assert (a.max_deviation, a.witness_label) == (b.max_deviation, b.witness_label)
+        assert a.evaluations == 14 * 14
+
     def test_one_party_sixteen_dimensional_document(self):
         """Four one-party qubit states merged into one 16 -> 16 party (dim
         256): the sweep has 16 + 256 * 255 members and never stacks their
