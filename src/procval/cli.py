@@ -9,6 +9,7 @@ one with stable keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,13 +23,12 @@ from .oracle import normalization_oracle
 from .process import (
     FactorRecord,
     PartyReduction,
-    ProcessMatrix,
     Tolerances,
     classify_term,
     is_valid_process,
     reduced_process,
 )
-from .product import PartyPairing, _closes_loop, _report, _resolve_pairing, tensor_product
+from .product import PartyPairing, _built, _closes_loop, _report, _resolve_pairing
 
 DEFAULT_ORACLE_THRESHOLD = 1e-6
 
@@ -182,10 +182,10 @@ def cmd_product(args) -> int:
         lines.append(f"two-party signalling check: product {'invalid' if loop else 'valid'}")
 
     if report.layout.dim <= args.max_direct_dim:
-        # Without its carried extremes the built operator is eigendecomposed,
-        # so the cross-check shares no shortcut with the verdict above.
-        built = tensor_product(w, z, pairing=pairing)
-        direct = is_valid_process(ProcessMatrix(built.layout, built.op))
+        # The built operator carries no rows or extremes, so it is extracted
+        # and eigendecomposed: the cross-check shares no shortcut with the
+        # verdict above.
+        direct = is_valid_process(_built(w, z, resolved, report.layout))
         payload["direct_verdict"] = direct.verdict
         agree = direct.verdict == report.verdict
         payload["cross_check"] = "agree" if agree else "disagree"
@@ -198,6 +198,12 @@ def cmd_product(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.seed is None:
+        env = os.environ.get("PROCVAL_SEED", "0")
+        try:
+            args.seed = int(env)
+        except ValueError:
+            raise ValueError(f"PROCVAL_SEED must be an integer, got {env!r}") from None
     w = load_path(args.file)
     verdict = normalization_oracle(w, samples=args.samples, seed=args.seed)
     code = 0 if verdict.max_deviation <= args.threshold else 1
@@ -322,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--samples", type=int, default=0,
                    help="random channel tuples to add to the exact sweep (default 0)")
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("PROCVAL_SEED", "0")),
+    p.add_argument("--seed", type=int, default=None,
                    help="seed of the random tuples (default $PROCVAL_SEED or 0); "
                         "matters only with --samples N > 0")
     p.add_argument("--threshold", type=float, default=DEFAULT_ORACLE_THRESHOLD)
@@ -347,8 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once: argparse makes a help
+    formatter per argument, which costs more than a small question."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "gallery" and args.action == "export" and not args.name:
         parser.error("gallery export needs an entry name")

@@ -129,7 +129,8 @@ def _allowed_patterns(layout: PartyLayout) -> np.ndarray:
     sizes = [d * d for d in layout.subsystem_dims()]
     if int(np.prod(sizes)) > (1 << 16):
         raise ValueError("layout too large to enumerate term patterns densely")
-    indices, _, tags, group = _tag_patterns(np.ones(sizes), 0.0)
+    every = np.argwhere(np.ones(sizes, dtype=bool))
+    indices, _, tags, group = _tag_patterns(every, np.ones(len(every)))
     return indices[_allowed(tags)[group]]
 
 

@@ -120,15 +120,17 @@ class ProcessMatrix:
     by :func:`is_valid_process`.
 
     A product built by :func:`~procval.product.tensor_product` also carries
-    its extreme eigenvalues, read from its factors' when built (none when a
-    factor fails its checks), and its ``op`` is read-only so that the two
-    stay in step. ``ProcessMatrix(p.layout, p.op)`` is the same operator
-    without them, so its spectrum is computed densely.
+    its extreme eigenvalues and its term rows, merged from its factors'
+    records when built (neither when a factor fails its checks), and its
+    ``op`` is read-only so that they stay in step. ``ProcessMatrix(p.layout,
+    p.op)`` is the same operator without them, so its spectrum and terms are
+    computed densely.
     """
 
     layout: PartyLayout
     op: np.ndarray
     _extremes: tuple[float, float] | None = field(default=None, init=False, repr=False)
+    _rows: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = linalg.as_operator(self.op)
@@ -238,27 +240,29 @@ def _signalling(patterns: tuple[np.ndarray, ...]) -> np.ndarray:
     return (out[:, :, None] & (tags == PartyTag.IN)[:, None, :]).any(axis=0)
 
 
-def _tag_patterns(coeffs: np.ndarray, tol: float | None) -> tuple[np.ndarray, ...]:
-    """The nontrivial terms with |coefficient| > ``tol`` (default
-    :func:`hsbasis.default_term_tol`) grouped by tag pattern: their basis
-    indices (rows, lexicographic order) and coefficients, the distinct
-    patterns (a row of PartyTag values each, parties in layout order), and
-    the row of each term's pattern."""
-    indices, values = hsbasis._term_rows(coeffs, tol)
+def _tag_patterns(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The nontrivial terms among the term rows ``indices`` (basis indices,
+    lexicographic order) and ``values`` grouped by tag pattern: their basis
+    indices and coefficients, the distinct patterns (a row of PartyTag values
+    each, parties in layout order), and the row of each term's pattern."""
+    n_sub = indices.shape[1]
     # One code per term: bit k is set when subsystem k is not the identity,
-    # so party p's tag is bits 2p and 2p+1 (numpy's 64 axes fit 64 bits).
-    codes = (indices != 0) @ (np.uint64(1) << np.arange(coeffs.ndim, dtype=np.uint64))
+    # so party p's tag is bits 2p and 2p+1 (a record's subsystems are those of
+    # an extracted tensor: numpy's 64 axes fit 64 bits).
+    codes = (indices != 0) @ (np.uint64(1) << np.arange(n_sub, dtype=np.uint64))
     keep = codes != 0
     codes = codes[keep]
     patterns = np.unique(codes)
-    tags = (patterns[:, None] >> np.arange(0, coeffs.ndim, 2, dtype=np.uint64)) & np.uint64(3)
+    tags = (patterns[:, None] >> np.arange(0, n_sub, 2, dtype=np.uint64)) & np.uint64(3)
     return indices[keep], values[keep], tags.astype(np.int8), np.searchsorted(patterns, codes)
 
 
-def _coefficients(w: ProcessMatrix) -> np.ndarray:
-    """The coefficient tensor of ``w.op``, checked once: for a non-finite
-    entry, then for Hermiticity by the extraction. No spectrum is computed."""
-    return hsbasis.coefficient_tensor(linalg._require_finite(w.op), w.layout.subsystem_dims())
+def _checked_rows(w: ProcessMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The term rows of ``w.op`` at the default threshold, checked once: for
+    a non-finite entry, then for Hermiticity by the extraction. No spectrum
+    is computed."""
+    return hsbasis._term_rows(hsbasis.coefficient_tensor(
+        linalg._require_finite(w.op), w.layout.subsystem_dims()), None)
 
 
 def _term(indices: np.ndarray, coeff) -> HSTerm:
@@ -268,46 +272,81 @@ def _term(indices: np.ndarray, coeff) -> HSTerm:
 @dataclass(frozen=True, eq=False)
 class FactorRecord:
     """Everything the validity and product decisions need to know about one
-    operator: its coefficient tensor over the operator basis (shape
-    ``(d_1^2, ...)`` over the layout's subsystems), the extreme eigenvalues
-    of its Hermitian part, its Frobenius norm and its trace.
+    operator: its term rows (the basis indices, over the layout's
+    subsystems in lexicographic order, and the coefficients of the terms
+    kept at :func:`hsbasis.default_term_tol`, the trivial term included),
+    the extreme eigenvalues of its Hermitian part, its Frobenius norm and
+    its trace.
 
-    :meth:`of` reads them off an operator, taking the extremes a built
-    product carries; the record of a tensor product is merged from its
-    factors' records in :mod:`procval.product`.
+    :meth:`of` reads them off an operator, taking the rows and extremes a
+    built product carries. The record of a tensor product is merged from its
+    factors' records in :mod:`procval.product`, row by row, and never holds
+    a coefficient tensor. An explicit term threshold reads the coefficient
+    tensor instead of the rows: ``tensor`` when :meth:`of` extracted it, else
+    one extraction of the checked operator ``op``. Merged records have
+    neither.
     """
 
     layout: PartyLayout
-    coeffs: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
     lam_min: float
     lam_max: float
     norm: float
     trace: float
+    op: np.ndarray | None = None
+    tensor: np.ndarray | None = None
 
     @staticmethod
     def of(w: ProcessMatrix) -> "FactorRecord":
-        """The record of ``w.op``, checked once as by :func:`_coefficients`;
-        the norm is taken once, for the record and the Hermiticity check."""
+        """The record of ``w.op``, checked once: for a non-finite entry, then
+        for Hermiticity (by the extraction, where there is one). The norm is
+        taken once, for the record and the Hermiticity check. A built
+        product's carried rows and extremes are read, not recomputed."""
         a = linalg._require_finite(w.op)
         norm = linalg.frobenius(a)
-        coeffs = hsbasis.coefficient_tensor(a, w.layout.subsystem_dims(), norm)
+        tensor = None
+        if w._rows is None:
+            tensor = hsbasis.coefficient_tensor(a, w.layout.subsystem_dims(), norm)
+            indices, values = hsbasis._term_rows(tensor, None)
+        else:
+            linalg.require_hermitian(a, norm)
+            indices, values = w._rows
         lam_min, lam_max = w._extremes or linalg._hermitian_extremes(a)
         return FactorRecord(
             layout=w.layout,
-            coeffs=coeffs,
+            indices=indices,
+            values=values,
             lam_min=lam_min,
             lam_max=lam_max,
             norm=norm,
             trace=float(w.op.trace().real),
+            op=a,
+            tensor=tensor,
         )
 
     def patterns(self, tol: float | None = None) -> tuple[np.ndarray, ...]:
-        """:func:`_tag_patterns` of the coefficients; the default ones are cached."""
-        return self._default_patterns if tol is None else _tag_patterns(self.coeffs, tol)
+        """:func:`_tag_patterns` of the terms with |coefficient| > ``tol``:
+        the default ones read the rows and are cached, an explicit ``tol``
+        prunes the coefficient tensor."""
+        if tol is None:
+            return self._default_patterns
+        tensor = self.tensor
+        if tensor is None:
+            if self.op is None:
+                raise ValueError("an explicit term threshold needs the operator of the record")
+            tensor = hsbasis.coefficient_tensor(self.op, self.layout.subsystem_dims(), self.norm)
+        return _tag_patterns(*hsbasis._term_rows(tensor, tol))
 
     @cached_property
     def _default_patterns(self) -> tuple[np.ndarray, ...]:
-        return _tag_patterns(self.coeffs, None)
+        return _tag_patterns(self.indices, self.values)
+
+    def finite(self) -> bool:
+        """Whether the rows, the extremes, the norm and the trace are all
+        finite; a merged record can overflow where its factors do not."""
+        return bool(np.isfinite(self.values).all() and np.isfinite(
+            [self.lam_min, self.lam_max, self.norm, self.trace]).all())
 
     def check(self, tolerances: Tolerances) -> tuple[bool, float, float, tuple, np.ndarray]:
         """The validity decision, and the one place the three thresholds of
@@ -357,7 +396,7 @@ def signalling_directions(w: ProcessMatrix, frm: str, to: str) -> bool:
     j = w.layout.party_index(to)
     if i == j:
         raise ValueError("signalling needs two distinct parties")
-    return bool(_signalling(_tag_patterns(_coefficients(w), None))[i, j])
+    return bool(_signalling(_tag_patterns(*_checked_rows(w)))[i, j])
 
 
 @dataclass(frozen=True)

@@ -10,22 +10,23 @@ into a term that is a pure input on no party. Such pairs are reported as
 blocking pairs.
 
 The decisions never build the product operator. Each factor is reduced once
-to a :class:`~procval.process.FactorRecord` (coefficient tensor, extreme
-eigenvalues, Frobenius norm, trace), which :func:`~procval.process.is_valid_process`
-also reads, and its nontrivial terms are grouped once by tag pattern; the
+to a :class:`~procval.process.FactorRecord` (term rows, extreme eigenvalues,
+Frobenius norm, trace), which :func:`~procval.process.is_valid_process` also
+reads, and its nontrivial terms are grouped once by tag pattern; the
 blocking-pair search and the two-party shortcut read those patterns. A
-product's record is merged from its factors' records (:mod:`procval.hsbasis`
-merges the coefficients; eigenvalues, norm and trace multiply), and a product
-built by :func:`tensor_product` carries its extreme eigenvalues, read from its
-factors' when built; a caller that drops them pays one small ``eigvalsh`` per
-factor. The references are the record-free ``ProcessMatrix(p.layout, p.op)``
-and the term loops in ``tests/helpers.py`` and ``bench/reference.py``. A
-merged record holds one coefficient per product term, so its size is capped.
+product's record is merged from its factors' records: :mod:`procval.hsbasis`
+merges the term rows, subsystem by subsystem, and the eigenvalues, norm and
+trace multiply. A product's coefficients are bilinear in its factors', so
+its terms follow from the factors' kept terms (``docs/tolerances.md`` gives
+the pruning rule), and no merge holds a ``dim²`` coefficient tensor. A
+product built by :func:`tensor_product` carries its merged term rows and
+extreme eigenvalues, so validating it extracts and eigendecomposes only its
+factors. The references are the record-free ``ProcessMatrix(p.layout,
+p.op)`` and the term loops in ``tests/helpers.py`` and ``bench/reference.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,7 +41,7 @@ from .process import (
     PartyTag,
     ProcessMatrix,
     _allowed,
-    _coefficients,
+    _checked_rows,
     _signalling,
     _tag_patterns,
     _term,
@@ -132,11 +133,20 @@ def _product_extremes(w: tuple[float, float],
     return min(products), max(products)
 
 
-def _checked_extremes(p: ProcessMatrix) -> tuple[float, float]:
-    """The extreme eigenvalues of ``p.op`` behind its finiteness and
-    Hermiticity checks: those a built product carries, else one ``eigvalsh``."""
-    a = linalg.require_hermitian(linalg._require_finite(p.op))
-    return p._extremes or linalg._hermitian_extremes(a)
+def _built(w: ProcessMatrix, z: ProcessMatrix, pairing: PartyPairing,
+           layout: PartyLayout) -> ProcessMatrix:
+    """The product operator of ``w`` and ``z`` in the merged ``layout``, read
+    only and carrying nothing: the Kronecker product, reordered so that
+    each merged input and output holds the first factor's subsystem before
+    the second's."""
+    raw = linalg.tensor(w.op, z.op)
+    dims = w.layout.subsystem_dims() + z.layout.subsystem_dims()
+    nw = 2 * w.layout.n_parties
+    perm = [k for a, b in _merged_subsystems(w.layout, z.layout, pairing)
+            for k in (a, nw + b)]
+    built = ProcessMatrix(layout=layout, op=linalg.permute_subsystems(raw, dims, perm))
+    built.op.setflags(write=False)
+    return built
 
 
 def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
@@ -145,39 +155,40 @@ def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
     layout (first factor's subsystem before the second's within each merged
     input and output). No term-rule check is performed here.
 
-    The result's ``op`` is read-only, and it carries its extreme eigenvalues,
-    read now from the factors' behind their finiteness and Hermiticity
-    checks. It carries none when a factor fails one (``(iH) ⊗ (iH)`` is
-    Hermitian); its operator is then eigendecomposed when validated."""
+    The result's ``op`` is read-only, and it carries its extreme eigenvalues
+    and its term rows, merged now from the factors' records, which check
+    each factor for finiteness and Hermiticity. It carries neither when a
+    factor fails a check (``(iH) ⊗ (iH)`` is Hermitian) or the merge
+    overflows; its operator is then eigendecomposed and extracted when
+    validated."""
     pairing = _resolve_pairing(w.layout, z.layout, pairing)
     layout = combined_layout(w.layout, z.layout, pairing)
     try:
-        extremes = _product_extremes(_checked_extremes(w), _checked_extremes(z))
+        rec = _merge_records(FactorRecord.of(w), FactorRecord.of(z), pairing, layout)
     except ValueError:
-        extremes = None
-    raw = linalg.tensor(w.op, z.op)
-    dims = w.layout.subsystem_dims() + z.layout.subsystem_dims()
-    nw = 2 * w.layout.n_parties
-    perm = [k for a, b in _merged_subsystems(w.layout, z.layout, pairing)
-            for k in (a, nw + b)]
-    built = ProcessMatrix(layout=layout, op=linalg.permute_subsystems(raw, dims, perm))
-    built.op.setflags(write=False)
-    object.__setattr__(built, "_extremes", extremes)
+        rec = None
+    built = _built(w, z, pairing, layout)
+    if rec is not None and rec.finite():
+        object.__setattr__(built, "_extremes", (rec.lam_min, rec.lam_max))
+        object.__setattr__(built, "_rows", (rec.indices, rec.values))
     return built
 
 
 def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
                    layout: PartyLayout) -> FactorRecord:
     """Record of the tensor product of two records in the merged ``layout``,
-    without building the product operator. Its entries may overflow; the
-    caller checks them."""
+    without building the product operator: its term rows are merged from
+    the factors' rows by :mod:`procval.hsbasis`. Its entries may overflow;
+    the caller checks them."""
     lam_min, lam_max = _product_extremes((w.lam_min, w.lam_max), (z.lam_min, z.lam_max))
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = hsbasis._merge_coefficients(
-            w.coeffs, z.coeffs, _merged_subsystems(w.layout, z.layout, pairing))
+        indices, values = hsbasis._merge_rows(
+            (w.indices, w.values), (z.indices, z.values), w.layout.subsystem_dims(),
+            z.layout.subsystem_dims(), _merged_subsystems(w.layout, z.layout, pairing))
     return FactorRecord(
         layout=layout,
-        coeffs=coeffs,
+        indices=indices,
+        values=values,
         lam_min=lam_min,
         lam_max=lam_max,
         norm=w.norm * z.norm,
@@ -267,7 +278,7 @@ def two_party_product_invalid(w: ProcessMatrix, z: ProcessMatrix) -> bool:
     for p in (w, z):
         if p.layout.n_parties != 2:
             raise ValueError("this check applies to two-party processes only")
-    return _closes_loop(*(_tag_patterns(_coefficients(p), None) for p in (w, z)))
+    return _closes_loop(*(_tag_patterns(*_checked_rows(p)) for p in (w, z)))
 
 
 def _closes_loop(w_patterns: tuple, z_patterns: tuple) -> bool:
@@ -296,16 +307,14 @@ def check_sequence(ps: Sequence[ProcessMatrix],
 
     No product operator is built or eigendecomposed. Each distinct input is
     reduced once to a :class:`~procval.process.FactorRecord`, and the
-    accumulated product's record is merged from its factors' records, so
-    ``w_valid`` of step k is decided from the factors alone. A fold whose last
-    merged record would exceed 2**24 coefficients is refused up front, and
-    one whose merged record overflows raises at that step.
+    accumulated product's record is merged row by row from its factors'
+    records, so ``w_valid`` of step k is decided from the factors alone. The
+    fold has no size cap: its cost follows the number of kept terms, not the
+    product's dimension. A fold whose merged record has a non-finite row,
+    extreme, norm or trace raises at that step.
     """
     if len(ps) < 2:
         raise ValueError("need at least two processes to form a product")
-    if math.prod(p.dim for p in ps[:-1]) ** 2 > 2**24:  # 134 MB; admits [twoway-d2]*4
-        raise ValueError(f"refusing to fold factors of dims {[p.dim for p in ps]}: the "
-                         "last merged record would hold more than 2**24 coefficients")
     if pairings is not None and len(pairings) != len(ps) - 1:
         raise ValueError(f"expected {len(ps) - 1} pairings, got {len(pairings)}")
 
@@ -323,8 +332,7 @@ def check_sequence(ps: Sequence[ProcessMatrix],
             first_bad = k
         if k + 2 < len(ps):
             acc = _merge_records(acc, rec, pairing, report.layout)
-            if not (np.isfinite(acc.coeffs).all()
-                    and np.isfinite([acc.lam_min, acc.lam_max, acc.norm, acc.trace]).all()):
+            if not acc.finite():
                 raise ValueError(f"step {k + 1}: the product of the first {k + 2} factors "
                                  "has a non-finite entry")
     return SequenceReport(

@@ -10,6 +10,7 @@ from procval import (
     ProcessMatrix,
     gallery_entry,
     mixture,
+    oneway_channel_process,
     random_valid_process,
     tensor_product,
 )
@@ -64,11 +65,30 @@ def suite_pairs(suite, seed: int = 7, n: int = 200):
 
 
 def dense_product(w, z, pairing=None):
-    """The built product of ``w`` and ``z`` without its carried extremes:
-    validating it eigendecomposes the whole operator, the dense reference the
-    factor paths are compared against."""
+    """The built product of ``w`` and ``z`` without its carried extremes and
+    term rows: validating it eigendecomposes and extracts the whole
+    operator, the dense reference the factor paths are compared against."""
     built = tensor_product(w, z, pairing=pairing)
     return ProcessMatrix(built.layout, built.op)
+
+
+def cyclic_triple():
+    """Three valid three-party factors on X, Y and Z that signal X→Y, Y→Z
+    and Z→X: every pair has a valid product, the three together do not."""
+    xy, yx = oneway_channel_process(2, "xy").op, oneway_channel_process(2, "yx").op
+    return (ProcessMatrix(PartyLayout.of(("X", 2, 2), ("Y", 2, 2), ("Z", 1, 1)), xy),
+            ProcessMatrix(PartyLayout.of(("X", 1, 1), ("Y", 2, 2), ("Z", 2, 2)), xy),
+            ProcessMatrix(PartyLayout.of(("X", 2, 2), ("Y", 1, 1), ("Z", 2, 2)), yx))
+
+
+def assert_same_terms(got, want, tol=1e-12):
+    """Two lists of ``(term, signature)`` pairs, as ``is_valid_process``
+    reports forbidden terms, hold the same indices and signatures in the
+    same order, and coefficients within ``tol``: the check for terms merged
+    from factors' rows against terms extracted from a built operator."""
+    assert [(t.indices, sig) for t, sig in got] == [(t.indices, sig) for t, sig in want]
+    for (a, _), (b, _) in zip(got, want):
+        assert abs(a.coeff - b.coeff) <= tol
 
 
 def record_eigvalsh_dims(monkeypatch) -> list[int]:

@@ -156,10 +156,20 @@ class TestProduct:
         assert "direct_verdict" not in payload
 
     def test_cross_check_eigendecomposes_the_built_product(self, docs, capsys, monkeypatch):
+        """The cross-check builds the record-free operator directly, so it
+        pays for no factor record: one more extraction and one more
+        ``eigvalsh``, both of the built product."""
+        extracted, real = [], hsbasis.coefficient_tensor
+
+        def spy(m, dims, *args):
+            extracted.append(len(m))
+            return real(m, dims, *args)
+
+        monkeypatch.setattr(hsbasis, "coefficient_tensor", spy)
         dims = record_eigvalsh_dims(monkeypatch)
         assert main(["product", docs["twoway-d2"], docs["oneway-xy-d2"]]) == 1
         assert "(agree)" in capsys.readouterr().out
-        assert 256 in dims
+        assert sorted(dims) == sorted(extracted) == [16, 16, 256]
 
 
 class TestOracle:
@@ -237,6 +247,22 @@ class TestOracle:
         assert main(["oracle", docs["twoway-d2"], "--samples", "3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 17
+
+    def test_seed_env_is_read_per_call(self, docs, monkeypatch, capsys):
+        """The parser is built once, so ``$PROCVAL_SEED`` is read when
+        ``main`` runs; a change between two calls changes the seed used."""
+        seen = []
+        for env in ("17", "18"):
+            monkeypatch.setenv("PROCVAL_SEED", env)
+            assert main(["oracle", docs["twoway-d2"], "--samples", "3", "--json"]) == 0
+            seen.append(json.loads(capsys.readouterr().out)["seed"])
+        assert seen == [17, 18]
+        monkeypatch.delenv("PROCVAL_SEED")
+        assert main(["oracle", docs["twoway-d2"], "--samples", "3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 0
+        monkeypatch.setenv("PROCVAL_SEED", "x")
+        assert main(["oracle", docs["twoway-d2"]]) == 2
+        assert "PROCVAL_SEED must be an integer" in capsys.readouterr().err
 
 
 class TestReduce:

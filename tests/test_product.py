@@ -11,6 +11,7 @@ from procval import (
     PartyPairing,
     PartyReduction,
     ProcessMatrix,
+    Tolerances,
     check_sequence,
     find_blocking_pairs,
     gallery_entry,
@@ -34,7 +35,9 @@ from procval.product import _merge_records
 
 from helpers import (
     BASE_NAMES,
+    assert_same_terms,
     bipartite_qubit_suite,
+    cyclic_triple,
     dense_product,
     loop_blocking_pairs,
     random_hermitian,
@@ -343,19 +346,23 @@ class TestCheckSequence:
         with pytest.raises(ValueError, match="pairings"):
             check_sequence([w, w], pairings=[None, None])
 
-    def test_factor_cap(self):
-        s = one_party_state([0.5, 0.5])
-        with pytest.raises(ValueError, match="factors"):
-            check_sequence([s] * 9)
+    def test_nine_one_party_factors(self):
+        """Nine one-party factors merge a record on subsystems of dim 256,
+        whose basis change would be a 34 GB matrix if it were dense."""
+        s = one_party_state([0.25, 0.75])
+        report = check_sequence([s] * 9)
+        assert report.verdict is True and report.first_invalid_step is None
+        assert len(report.steps) == 8
+        assert all(step.w_valid and step.z_valid for step in report.steps)
 
-    def test_merged_record_size_cap(self):
-        """The refusal is computed from the factors' dims before any merge:
-        the record merged before the last step of five dim-16 factors would
-        hold 2**32 coefficients. Four factors (2**24) are admitted."""
+    def test_five_twoway_factors(self):
+        """The fold of five ``twoway-d2`` merges a record of dim 65536 before
+        its last step, and each step adds blocking pairs."""
         w = twoway_channel_process(2)
-        with pytest.raises(ValueError, match=r"factors of dims \[16, 16, 16, 16, 16\]"):
-            check_sequence([w] * 5)
-        assert check_sequence([w] * 4).first_invalid_step == 0
+        report = check_sequence([w] * 5)
+        assert report.first_invalid_step == 0
+        assert [len(step.blocking_pairs) for step in report.steps] == [2, 130, 3386, 67730]
+        assert report.steps[0].w_valid and not report.steps[1].w_valid
 
 
 def assert_fold_matches_dense(ps, pairings=None, built=None):
@@ -436,18 +443,10 @@ class TestSequenceMatchesDenseProducts:
             assert_fold_matches_dense([first, twice, twice], pairings=[ROTATED, other])
 
 
-def cyclic_triple():
-    """Three valid three-party factors on X, Y and Z that signal X→Y, Y→Z
-    and Z→X: every pair has a valid product, the three together do not."""
-    xy, yx = oneway_channel_process(2, "xy").op, oneway_channel_process(2, "yx").op
-    return (ProcessMatrix(PartyLayout.of(("X", 2, 2), ("Y", 2, 2), ("Z", 1, 1)), xy),
-            ProcessMatrix(PartyLayout.of(("X", 1, 1), ("Y", 2, 2), ("Z", 2, 2)), xy),
-            ProcessMatrix(PartyLayout.of(("X", 2, 2), ("Y", 1, 1), ("Z", 2, 2)), yx))
-
-
 class TestCyclicTriple:
     """The loop X→Y→Z→X closes only with all three factors. The built triple
-    (dim 4096) is left out: building and validating it takes seconds."""
+    (dim 4096) is left out here, since extracting its record-free copy takes
+    seconds; the CI workflow cross-checks it."""
 
     def test_each_factor_signals_one_way(self):
         for p, direction in zip(cyclic_triple(), ("XY", "YZ", "ZX")):
@@ -501,12 +500,17 @@ class TestFactorRecord:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(_factor_pairs())
     def test_merge_equals_built_product(self, case):
+        """Merged rows are the rows of the built operator's coefficients at
+        the default threshold: the same indices, coefficients within 1e-12.
+        The built product carries those rows and the merged extremes."""
         w, z, pairing = case
         built = tensor_product(w, z, pairing=pairing)
         rec = _merge_records(FactorRecord.of(w), FactorRecord.of(z), pairing, built.layout)
-        want = hsbasis.coefficient_tensor(built.op, built.layout.subsystem_dims())
-        assert rec.coeffs.shape == want.shape
-        assert np.abs(rec.coeffs - want).max() <= 1e-12
+        want_idx, want_val = hsbasis._term_rows(
+            hsbasis.coefficient_tensor(built.op, built.layout.subsystem_dims()), None)
+        assert np.array_equal(rec.indices, want_idx)
+        assert np.abs(rec.values - want_val).max(initial=0.0) <= 1e-12
+        assert rec.tensor is None and rec.op is None
         lam = np.linalg.eigvalsh(built.op)
         scale = max(1.0, float(np.abs(lam).max()))
         assert abs(rec.lam_min - lam[0]) <= 1e-12 * scale
@@ -514,9 +518,11 @@ class TestFactorRecord:
         assert rec.norm == pytest.approx(np.linalg.norm(built.op), rel=1e-12)
         assert rec.trace == pytest.approx(built.op.trace().real, rel=1e-12, abs=1e-12)
         assert rec.valid == is_valid_process(built).verdict
-        # The built product's own record reads its extremes the same way.
+        # The built product's own record reads the same rows and extremes.
         built_rec = FactorRecord.of(built)
         assert (built_rec.lam_min, built_rec.lam_max) == (rec.lam_min, rec.lam_max)
+        assert np.array_equal(built_rec.indices, rec.indices)
+        assert np.array_equal(built_rec.values, rec.values)
 
     def test_gallery_validity_matches_is_valid_process(self):
         for name in ("twoway-d2", "twoway-d3", "state-maxmix-d2", "oneway-xy-d2"):
@@ -554,6 +560,90 @@ class TestFactorRecord:
             4, 4, 16, 64, 256]
 
 
+class TestMergedPruning:
+    """The pruning rule of merged rows (``docs/tolerances.md``): each
+    factor's rows are pruned at its own threshold before the merge, and the
+    merged rows at ``1e-9 * max(1, max |C|)`` of the product's coefficients,
+    the rule the dense path applies to the built operator."""
+
+    LAYOUT = PartyLayout.of(("A", 2, 2))
+
+    def factor(self, identity, eps):
+        terms = [HSTerm((0, 0), identity), HSTerm((1, 0), eps)]
+        return ProcessMatrix(self.LAYOUT, hsbasis.reconstruct(
+            terms, self.LAYOUT.subsystem_dims()))
+
+    @staticmethod
+    def merged_and_dense(w, z):
+        built = tensor_product(w, z)
+        rec = _merge_records(FactorRecord.of(w), FactorRecord.of(z),
+                             PartyPairing.positional(w.layout, z.layout), built.layout)
+        dense = hsbasis._term_rows(
+            hsbasis.coefficient_tensor(built.op, built.layout.subsystem_dims()), None)
+        return rec, dense
+
+    def test_product_of_two_small_terms_is_pruned(self):
+        """Two kept factor terms of 1e-6 merge into terms of about 1e-12,
+        below the merged threshold 1e-9; each against the other factor's
+        identity gives two kept terms of 0.5e-6/sqrt(2)."""
+        w = self.factor(0.5, 1e-6)
+        assert len(FactorRecord.of(w).values) == 2
+        rec, (indices, values) = self.merged_and_dense(w, w)
+        assert np.array_equal(rec.indices, indices)
+        assert np.abs(rec.values - values).max() <= 1e-12
+        assert len(rec.values) == 5
+        assert np.abs(rec.values[1:]) == pytest.approx([0.5e-6 / np.sqrt(2)] * 4, rel=1e-9)
+
+    @pytest.mark.parametrize("factor, kept", [(0.5, False), (2.0, True)])
+    def test_factor_term_at_its_own_threshold(self, factor, kept):
+        """A factor term at 0.5x its threshold (1e-9) never reaches the
+        merge; at 2x it is kept and, against an identity coefficient of 1,
+        merges into two terms of 2e-9/sqrt(2), above the merged threshold."""
+        w = self.factor(0.5, factor * 1e-9)
+        z = self.factor(1.0, 0.0)
+        assert len(FactorRecord.of(w).values) == (2 if kept else 1)
+        rec, (indices, values) = self.merged_and_dense(w, z)
+        assert np.array_equal(rec.indices, indices)
+        assert np.abs(rec.values - values).max() <= 1e-12
+        assert len(rec.values) == (3 if kept else 1)
+
+    def test_rows_grouped_past_int64_keys(self):
+        """Rows whose index space passes 2**63 are grouped column by column,
+        with the same groups and order as packed keys give."""
+        rng = np.random.default_rng(0)
+        cols = [rng.integers(0, 3, size=300) for _ in range(4)]
+        packed = hsbasis._group_rows(cols, [3] * 4)
+        wide = hsbasis._group_rows(cols, [3, 2**40, 2**40, 3])
+        for a, b in zip(packed, wide):
+            assert np.array_equal(a, b)
+        rows = np.stack(cols, axis=1)[packed[0]]
+        assert [tuple(r) for r in rows] == sorted({tuple(r) for r in np.stack(cols, axis=1)})
+
+    def test_merge_past_its_row_budget_is_refused(self):
+        """A merge step that would hold more than ``MAX_MERGE_ENTRIES``
+        entries raises before it allocates them."""
+        rows = (np.zeros((3000, 2), dtype=np.int64), np.ones(3000))
+        with pytest.raises(ValueError, match="merge step would hold 9000000 rows"):
+            hsbasis._merge_rows(rows, rows, (2, 2), (2, 2), [(0, 0), (1, 1)])
+
+    def test_indices_past_int64_are_refused(self):
+        """A fold whose merged subsystem passes dim 2**31.5 is refused: its
+        basis indices would not fit int64."""
+        s = state_process(maximally_mixed(2), PartyLayout.of(("A", 2, 2)))
+        assert check_sequence([s] * 32).verdict
+        with pytest.raises(ValueError, match="dim 4294967296 .* int64"):
+            check_sequence([s] * 34)
+
+    def test_fold_past_int64_keys(self):
+        """Nine maximally mixed one-party factors on A(4->4): the record
+        merged before the last step has subsystems of dim 4**8, whose index
+        space is 2**64."""
+        layout = PartyLayout.of(("A", 4, 4))
+        s = state_process(maximally_mixed(4), layout)
+        report = check_sequence([s] * 9)
+        assert report.verdict is True and report.first_invalid_step is None
+
+
 def prep_measure_pair():
     """On P(1->2) M(2->1): the identity channel from P to M, and a product
     of a preparation and a measurement."""
@@ -567,10 +657,12 @@ def prep_measure_pair():
 
 
 class TestBuiltProductSpectrum:
-    """A ``tensor_product`` result carries extreme eigenvalues read from its
-    factors' when it is built; everything else, and every verdict, is that of
-    the record-free copy ``dense_product``, whose operator is eigendecomposed.
-    Eigendecompositions are counted over build and validation."""
+    """A ``tensor_product`` result carries extreme eigenvalues and term rows
+    merged from its factors' records when it is built. Its verdict, trace
+    defect and forbidden-term indices are those of the record-free copy
+    ``dense_product``, whose operator is eigendecomposed and extracted;
+    coefficients agree within 1e-12. Eigendecompositions are counted over
+    build and validation."""
 
     @staticmethod
     def assert_matches_dense(p):
@@ -582,7 +674,7 @@ class TestBuiltProductSpectrum:
         assert abs(rec.lam_max - lam_max) <= tol
         got, want = is_valid_process(p), is_valid_process(dense)
         assert got.verdict == want.verdict
-        assert got.forbidden_terms == want.forbidden_terms
+        assert_same_terms(got.forbidden_terms, want.forbidden_terms)
         assert got.trace_defect == want.trace_defect
         assert abs(got.psd_defect - want.psd_defect) <= tol
 
@@ -638,7 +730,7 @@ class TestBuiltProductSpectrum:
             linalg.require_hermitian(w.op)
         p = tensor_product(w, z)
         linalg.require_hermitian(p.op)
-        assert p._extremes is None
+        assert p._extremes is None and p._rows is None
         got, want = is_valid_process(p), is_valid_process(ProcessMatrix(p.layout, p.op))
         assert got == want
 
@@ -662,10 +754,30 @@ class TestBuiltProductSpectrum:
         with pytest.raises(ValueError, match="read-only"):
             p.op[0, 0] = 1.0
         before = FactorRecord.of(p)
-        w.op[:] = 0.0  # the extremes were read when the product was built
+        w.op[:] = 0.0  # the extremes and rows were read when the product was built
         after = FactorRecord.of(p)
         assert (after.lam_min, after.lam_max) == (before.lam_min, before.lam_max)
-        assert ProcessMatrix(p.layout, p.op)._extremes is None
+        assert np.array_equal(after.values, before.values)
+        copy = ProcessMatrix(p.layout, p.op)
+        assert copy._extremes is None and copy._rows is None
+
+    def test_explicit_term_threshold_extracts(self):
+        """A caller-given term threshold reads the built operator's own
+        coefficients, as for any operator, so the terms are bit for bit
+        those of the record-free copy."""
+        w = gallery_entry("oneway-xy-d2").process
+        z = twoway_channel_process(2)
+        p = tensor_product(w, z)
+        for tol in (0.0, 1e-9, 0.05):
+            got = is_valid_process(p, Tolerances(term=tol))
+            want = is_valid_process(ProcessMatrix(p.layout, p.op), Tolerances(term=tol))
+            assert got.forbidden_terms == want.forbidden_terms
+            assert find_blocking_pairs(p, w, tol=tol) == find_blocking_pairs(
+                ProcessMatrix(p.layout, p.op), w, tol=tol)
+        merged = _merge_records(FactorRecord.of(w), FactorRecord.of(z),
+                                PartyPairing.positional(w.layout, z.layout), p.layout)
+        with pytest.raises(ValueError, match="explicit term threshold"):
+            merged.patterns(0.0)
 
 
 @st.composite
