@@ -104,15 +104,20 @@ def _contract(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     return x.reshape([t.shape[0] for t in mats])
 
 
-def coefficient_tensor(m, dims: Sequence[int], norm: float | None = None) -> np.ndarray:
+def coefficient_tensor(m, dims: Sequence[int]) -> np.ndarray:
     """Full coefficient array of a Hermitian operator over the tensor-product
     basis, shape (d_1^2, ..., d_n^2); entry [i1,...,in] = trace(m s_I) / D.
 
-    Raises ValueError for non-Hermitian input (``norm`` as in
-    :func:`linalg.hermitian_tolerance`) or if the extracted coefficients
-    carry an imaginary residue above 1e-10 (scaled).
+    Raises ValueError for non-Hermitian input (:func:`linalg.require_hermitian`)
+    or if the extracted coefficients carry an imaginary residue above 1e-10
+    (scaled).
     """
-    a = linalg.require_hermitian(m, norm)
+    return _extract(linalg.require_hermitian(m), dims)
+
+
+def _extract(a: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """:func:`coefficient_tensor` of a complex128 operator whose Hermiticity
+    the caller has checked."""
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     total = math.prod(dims)

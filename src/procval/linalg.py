@@ -62,17 +62,25 @@ def hermitian_tolerance(m, norm: float | None = None) -> float:
     return 1e-12 * (1.0 + (frobenius(m) if norm is None else norm))
 
 
-def require_hermitian(m, norm: float | None = None) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Return ``m`` as complex128, raising ValueError if it is not Hermitian
-    within the scale-aware :func:`hermitian_tolerance` (``norm`` as there)."""
+    within the scale-aware :func:`hermitian_tolerance`."""
     a = as_operator(m)
+    _check_hermitian(a)
+    return a
+
+
+def _check_hermitian(a: np.ndarray, norm: float | None = None) -> float:
+    """The check of :func:`require_hermitian` on a complex128 matrix
+    (``norm`` as in :func:`hermitian_tolerance`): raises as it does, else
+    returns the :func:`hermiticity_defect` that passed."""
     limit = hermitian_tolerance(a, norm)
     defect = hermiticity_defect(a)
     if defect > limit:
         raise ValueError(
             f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {limit:.3e}"
         )
-    return a
+    return defect
 
 
 def _require_finite(m) -> np.ndarray:

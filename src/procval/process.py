@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -119,18 +119,18 @@ class ProcessMatrix:
     full party space. Construction checks the shape only; validity is decided
     by :func:`is_valid_process`.
 
-    A product built by :func:`~procval.product.tensor_product` also carries
-    its extreme eigenvalues and its term rows, merged from its factors'
-    records when built (neither when a factor fails its checks), and its
-    ``op`` is read-only so that they stay in step. ``ProcessMatrix(p.layout,
-    p.op)`` is the same operator without them, so its spectrum and terms are
-    computed densely.
+    A product built by :func:`~procval.product.tensor_product` carries the
+    :class:`FactorRecord` merged from its factors' records when it was built
+    (none when a factor fails its checks), and read-only copies of its
+    factors' operators: its ``op`` is made from them the first time it is
+    read, and is read-only. ``ProcessMatrix(p.layout, p.op)`` is the same
+    operator without the record, so its spectrum and terms are computed
+    densely.
     """
 
     layout: PartyLayout
     op: np.ndarray
-    _extremes: tuple[float, float] | None = field(default=None, init=False, repr=False)
-    _rows: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _record: "FactorRecord | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = linalg.as_operator(self.op)
@@ -140,6 +140,24 @@ class ProcessMatrix:
                 f"{self.layout.dim}"
             )
         object.__setattr__(self, "op", a)
+
+    @classmethod
+    def _carrying(cls, layout: PartyLayout, record: "FactorRecord") -> "ProcessMatrix":
+        """A process on ``layout`` that carries ``record``, whose ``factors``
+        make its operator when ``op`` is first read."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "layout", layout)
+        object.__setattr__(p, "_record", record)
+        return p
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: the ``op`` of a
+        # process made by _carrying, before its first read.
+        if name != "op" or self._record is None or self._record.factors is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        op = self._record.factors.op
+        object.__setattr__(self, "op", op)
+        return op
 
     @property
     def dim(self) -> int:
@@ -260,7 +278,10 @@ def _tag_patterns(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, 
 def _checked_rows(w: ProcessMatrix) -> tuple[np.ndarray, np.ndarray]:
     """The term rows of ``w.op`` at the default threshold, checked once: for
     a non-finite entry, then for Hermiticity by the extraction. No spectrum
-    is computed."""
+    is computed. A built product's carried rows are read instead."""
+    if w._record is not None:
+        rec = FactorRecord.of(w)
+        return rec.indices, rec.values
     return hsbasis._term_rows(hsbasis.coefficient_tensor(
         linalg._require_finite(w.op), w.layout.subsystem_dims()), None)
 
@@ -269,21 +290,32 @@ def _term(indices: np.ndarray, coeff) -> HSTerm:
     return HSTerm(indices=tuple(int(i) for i in indices), coeff=float(coeff))
 
 
+# The rounding slack ``c·ε`` (c = 64, ε = 2**-52) of a built product's
+# Hermiticity bound, relative to its norm, and the norm up to which the
+# product's entries and norm are surely finite (docs/tolerances.md, *The
+# checks of a built product, from its factors*). Python floats, so that an
+# overflowing bound is infinite without a warning.
+_PRODUCT_ROUNDING = 64 * 2.0 ** -52
+_SAFE_NORM = 1e300
+
+
 @dataclass(frozen=True, eq=False)
 class FactorRecord:
     """Everything the validity and product decisions need to know about one
     operator: its term rows (the basis indices, over the layout's
     subsystems in lexicographic order, and the coefficients of the terms
     kept at :func:`hsbasis.default_term_tol`, the trivial term included),
-    the extreme eigenvalues of its Hermitian part, its Frobenius norm and
-    its trace.
+    the extreme eigenvalues of its Hermitian part, its Frobenius norm, its
+    trace, and its Hermiticity ``defect`` ``max|W − W†|``.
 
-    :meth:`of` reads them off an operator, taking the rows and extremes a
-    built product carries. The record of a tensor product is merged from its
+    :meth:`of` reads them off an operator, or returns the record a built
+    product carries. The record of a tensor product is merged from its
     factors' records in :mod:`procval.product`, row by row, and never holds
-    a coefficient tensor. An explicit term threshold reads the coefficient
-    tensor instead of the rows: ``tensor`` when :meth:`of` extracted it, else
-    one extraction of the checked operator ``op``. Merged records have
+    a coefficient tensor; its norm is the product of the factors' norms and
+    its ``defect`` a bound on the product's. An explicit term threshold reads
+    the coefficient tensor instead of the rows: ``tensor`` when :meth:`of`
+    extracted it, else one extraction of ``factors.op``, the operator a
+    built product makes from its kept factors. Records merged in a fold have
     neither.
     """
 
@@ -294,25 +326,29 @@ class FactorRecord:
     lam_max: float
     norm: float
     trace: float
-    op: np.ndarray | None = None
+    defect: float
     tensor: np.ndarray | None = None
+    factors: Any = None
 
     @staticmethod
     def of(w: ProcessMatrix) -> "FactorRecord":
         """The record of ``w.op``, checked once: for a non-finite entry, then
-        for Hermiticity (by the extraction, where there is one). The norm is
-        taken once, for the record and the Hermiticity check. A built
-        product's carried rows and extremes are read, not recomputed."""
+        for Hermiticity, with the norm taken once for both the record and the
+        check. A built product's carried record is returned as it is, and its
+        operator is neither made nor read when the checks are sure to pass
+        (:meth:`checks_certain`); otherwise the made operator is checked
+        densely first, so the product raises exactly when its record-free
+        copy ``ProcessMatrix(w.layout, w.op)`` raises."""
+        if w._record is not None:
+            if not w._record.checks_certain():
+                linalg.require_hermitian(linalg._require_finite(w.op))
+            return w._record
         a = linalg._require_finite(w.op)
         norm = linalg.frobenius(a)
-        tensor = None
-        if w._rows is None:
-            tensor = hsbasis.coefficient_tensor(a, w.layout.subsystem_dims(), norm)
-            indices, values = hsbasis._term_rows(tensor, None)
-        else:
-            linalg.require_hermitian(a, norm)
-            indices, values = w._rows
-        lam_min, lam_max = w._extremes or linalg._hermitian_extremes(a)
+        defect = linalg._check_hermitian(a, norm)
+        tensor = hsbasis._extract(a, w.layout.subsystem_dims())
+        indices, values = hsbasis._term_rows(tensor, None)
+        lam_min, lam_max = linalg._hermitian_extremes(a)
         return FactorRecord(
             layout=w.layout,
             indices=indices,
@@ -320,10 +356,18 @@ class FactorRecord:
             lam_min=lam_min,
             lam_max=lam_max,
             norm=norm,
-            trace=float(w.op.trace().real),
-            op=a,
+            trace=float(a.trace().real),
+            defect=defect,
             tensor=tensor,
         )
+
+    def checks_certain(self) -> bool:
+        """Whether the dense finiteness and Hermiticity checks of the
+        operator are sure to pass on what the record holds: its norm is far
+        below the double range, and its ``defect`` (a bound, for a product)
+        is within the Hermiticity tolerance of a norm ``c·ε`` smaller."""
+        return bool(self.norm <= _SAFE_NORM and self.defect <= 1e-12 * (
+            1.0 + (1.0 - _PRODUCT_ROUNDING) * self.norm))
 
     def patterns(self, tol: float | None = None) -> tuple[np.ndarray, ...]:
         """:func:`_tag_patterns` of the terms with |coefficient| > ``tol``:
@@ -333,9 +377,9 @@ class FactorRecord:
             return self._default_patterns
         tensor = self.tensor
         if tensor is None:
-            if self.op is None:
+            if self.factors is None:
                 raise ValueError("an explicit term threshold needs the operator of the record")
-            tensor = hsbasis.coefficient_tensor(self.op, self.layout.subsystem_dims(), self.norm)
+            tensor = hsbasis.coefficient_tensor(self.factors.op, self.layout.subsystem_dims())
         return _tag_patterns(*hsbasis._term_rows(tensor, tol))
 
     @cached_property

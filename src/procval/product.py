@@ -19,22 +19,26 @@ merges the term rows, subsystem by subsystem, and the eigenvalues, norm and
 trace multiply. A product's coefficients are bilinear in its factors', so
 its terms follow from the factors' kept terms (``docs/tolerances.md`` gives
 the pruning rule), and no merge holds a ``dim²`` coefficient tensor. A
-product built by :func:`tensor_product` carries its merged term rows and
-extreme eigenvalues, so validating it extracts and eigendecomposes only its
-factors. The references are the record-free ``ProcessMatrix(p.layout,
-p.op)`` and the term loops in ``tests/helpers.py`` and ``bench/reference.py``.
+product built by :func:`tensor_product` carries its merged record and makes
+its operator only when ``op`` is read, so validating it extracts and
+eigendecomposes only its factors and, unless a factor is near its
+Hermiticity tolerance or the double range, never makes a ``dim²`` array.
+The references are the record-free ``ProcessMatrix(p.layout, p.op)`` and the
+term loops in ``tests/helpers.py`` and ``bench/reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from . import hsbasis, linalg
+from . import hsbasis
 from .hsbasis import HSTerm
 from .process import (
+    _PRODUCT_ROUNDING,
     FactorRecord,
     Party,
     PartyLayout,
@@ -133,20 +137,78 @@ def _product_extremes(w: tuple[float, float],
     return min(products), max(products)
 
 
+def _interleaved(a: np.ndarray, b: np.ndarray, w_layout: PartyLayout,
+                 z_layout: PartyLayout, pairing: PartyPairing, copies: int) -> np.ndarray:
+    """The entries of ``a ⊗ b`` in the merged order, flat: ``a`` and ``b``
+    hold ``copies`` index sets of their factors' subsystems (2 for an
+    operator, rows then columns; 1 for a diagonal), and each merged
+    subsystem takes the first factor's index before the second's. One
+    multiply writes it, each operand transposed into the merged order and
+    broadcast across the other's axes; the entries are bit for bit those of
+    ``np.kron`` reordered by :func:`linalg.permute_subsystems`. Overflow
+    gives infinite entries without a warning; the finiteness check reports
+    them."""
+    merged = _merged_subsystems(w_layout, z_layout, pairing)
+    n = len(merged)
+    x = a.reshape(w_layout.subsystem_dims() * copies).transpose(
+        [i + k * n for k in range(copies) for i, _ in merged])
+    y = b.reshape(z_layout.subsystem_dims() * copies).transpose(
+        [j + k * n for k in range(copies) for _, j in merged])
+    x = np.expand_dims(x, tuple(range(1, 2 * x.ndim, 2)))
+    y = np.expand_dims(y, tuple(range(0, 2 * y.ndim, 2)))
+    # A C-ordered output of the final shape: the reshape below copies nothing.
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(x, y, out=out)
+    return out.reshape(-1)
+
+
 def _built(w: ProcessMatrix, z: ProcessMatrix, pairing: PartyPairing,
            layout: PartyLayout) -> ProcessMatrix:
     """The product operator of ``w`` and ``z`` in the merged ``layout``, read
-    only and carrying nothing: the Kronecker product, reordered so that
-    each merged input and output holds the first factor's subsystem before
-    the second's."""
-    raw = linalg.tensor(w.op, z.op)
-    dims = w.layout.subsystem_dims() + z.layout.subsystem_dims()
-    nw = 2 * w.layout.n_parties
-    perm = [k for a, b in _merged_subsystems(w.layout, z.layout, pairing)
-            for k in (a, nw + b)]
-    built = ProcessMatrix(layout=layout, op=linalg.permute_subsystems(raw, dims, perm))
-    built.op.setflags(write=False)
-    return built
+    only and carrying nothing: each merged input and output holds the first
+    factor's subsystem before the second's."""
+    op = _interleaved(w.op, z.op, w.layout, z.layout, pairing, 2).reshape(layout.dim, layout.dim)
+    op.setflags(write=False)
+    return ProcessMatrix(layout=layout, op=op)
+
+
+def _kept(p: ProcessMatrix) -> ProcessMatrix:
+    """What a built product keeps of a factor: a built product carrying its
+    record as it is (its operator is fixed), else a read-only copy, so that
+    a later change to the factor's operator does not reach the product."""
+    if p._record is not None:
+        return p
+    op = p.op.copy()
+    op.setflags(write=False)
+    return ProcessMatrix(p.layout, op)
+
+
+def _diagonal(p: ProcessMatrix) -> np.ndarray:
+    """The diagonal of ``p.op``, made from the kept factors of a built
+    product that carries them."""
+    factors = p._record.factors if p._record is not None else None
+    return np.diagonal(p.op) if factors is None else factors.diagonal()
+
+
+@dataclass(frozen=True, eq=False)
+class _Factors:
+    """The kept factors of a built product (:func:`_kept`) and how they
+    merge: enough to make the product's operator, once, when it is read."""
+
+    w: ProcessMatrix
+    z: ProcessMatrix
+    pairing: PartyPairing
+    layout: PartyLayout
+
+    @cached_property
+    def op(self) -> np.ndarray:
+        return _built(self.w, self.z, self.pairing, self.layout).op
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of :attr:`op`, bit for bit, without making it."""
+        return _interleaved(_diagonal(self.w), _diagonal(self.z), self.w.layout,
+                            self.z.layout, self.pairing, 1)
 
 
 def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
@@ -155,23 +217,30 @@ def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
     layout (first factor's subsystem before the second's within each merged
     input and output). No term-rule check is performed here.
 
-    The result's ``op`` is read-only, and it carries its extreme eigenvalues
-    and its term rows, merged now from the factors' records, which check
-    each factor for finiteness and Hermiticity. It carries neither when a
-    factor fails a check (``(iH) ⊗ (iH)`` is Hermitian) or the merge
-    overflows; its operator is then eigendecomposed and extracted when
-    validated."""
+    The result carries its :class:`~procval.process.FactorRecord`, merged
+    now from the factors' records, which check each factor for finiteness
+    and Hermiticity: the term rows, the extreme eigenvalues, the norm
+    ``‖W‖_F ‖Z‖_F``, the trace summed over the product's diagonal in the
+    order ``op.trace()`` sums it, and a bound on the Hermiticity defect. It
+    keeps read-only copies of the factors' operators (a factor that is a
+    built product is kept as it is), and its read-only ``op`` is made from
+    them the first time it is read. When a factor fails a check (``(iH) ⊗
+    (iH)`` is Hermitian) or the merge overflows, the operator is made now and
+    the result carries nothing; it is then eigendecomposed and extracted
+    when validated."""
     pairing = _resolve_pairing(w.layout, z.layout, pairing)
     layout = combined_layout(w.layout, z.layout, pairing)
     try:
         rec = _merge_records(FactorRecord.of(w), FactorRecord.of(z), pairing, layout)
     except ValueError:
-        rec = None
-    built = _built(w, z, pairing, layout)
-    if rec is not None and rec.finite():
-        object.__setattr__(built, "_extremes", (rec.lam_min, rec.lam_max))
-        object.__setattr__(built, "_rows", (rec.indices, rec.values))
-    return built
+        return _built(w, z, pairing, layout)
+    factors = _Factors(_kept(w), _kept(z), pairing, layout)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = float(factors.diagonal().sum().real)
+    rec = replace(rec, trace=trace, factors=factors)
+    if not rec.finite():
+        return _built(w, z, pairing, layout)
+    return ProcessMatrix._carrying(layout, rec)
 
 
 def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
@@ -179,7 +248,10 @@ def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
     """Record of the tensor product of two records in the merged ``layout``,
     without building the product operator: its term rows are merged from
     the factors' rows by :mod:`procval.hsbasis`. Its entries may overflow;
-    the caller checks them."""
+    the caller checks them. Its ``defect`` bounds the product's entrywise
+    Hermiticity defect: ``|w_ij z_kl − conj(w_ji z_lk)|`` is at most
+    ``δ_W |z_kl| + |w_ji| δ_Z``, each entry is at most the norm, and the
+    last term covers the rounding of the product's entries and norm."""
     lam_min, lam_max = _product_extremes((w.lam_min, w.lam_max), (z.lam_min, z.lam_max))
     with np.errstate(over="ignore", invalid="ignore"):
         indices, values = hsbasis._merge_rows(
@@ -193,6 +265,7 @@ def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
         lam_max=lam_max,
         norm=w.norm * z.norm,
         trace=w.trace * z.trace,
+        defect=w.defect * z.norm + w.norm * z.defect + _PRODUCT_ROUNDING * w.norm * z.norm,
     )
 
 

@@ -131,18 +131,20 @@ class TestProduct:
 
     def test_each_input_is_extracted_once(self, docs, capsys, monkeypatch):
         """The blocking-pair search and the two-party shortcut read the same
-        two records, so without the cross-check two operators are extracted."""
-        extracted, real = [], hsbasis.coefficient_tensor
+        two records, so without the cross-check two operators are extracted
+        (``hsbasis._extract`` is the extraction every record and every
+        ``coefficient_tensor`` runs)."""
+        extracted, real = [], hsbasis._extract
 
         def spy(m, dims, *args):
             extracted.append(tuple(dims))
             return real(m, dims, *args)
 
-        monkeypatch.setattr(hsbasis, "coefficient_tensor", spy)
+        monkeypatch.setattr(hsbasis, "_extract", spy)
         assert main(["product", docs["twoway-d2"], docs["oneway-xy-d2"],
                      "--max-direct-dim", "0", "--json"]) == 1
         assert len(extracted) == 2
-        monkeypatch.setattr(hsbasis, "coefficient_tensor", real)
+        monkeypatch.setattr(hsbasis, "_extract", real)
         payload = json.loads(capsys.readouterr().out)
         w, z = (load_path(docs[n]) for n in ("twoway-d2", "oneway-xy-d2"))
         report = find_blocking_pairs(w, z)
@@ -159,13 +161,13 @@ class TestProduct:
         """The cross-check builds the record-free operator directly, so it
         pays for no factor record: one more extraction and one more
         ``eigvalsh``, both of the built product."""
-        extracted, real = [], hsbasis.coefficient_tensor
+        extracted, real = [], hsbasis._extract
 
         def spy(m, dims, *args):
             extracted.append(len(m))
             return real(m, dims, *args)
 
-        monkeypatch.setattr(hsbasis, "coefficient_tensor", spy)
+        monkeypatch.setattr(hsbasis, "_extract", spy)
         dims = record_eigvalsh_dims(monkeypatch)
         assert main(["product", docs["twoway-d2"], docs["oneway-xy-d2"]]) == 1
         assert "(agree)" in capsys.readouterr().out

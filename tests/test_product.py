@@ -1,6 +1,7 @@
 """Tests for party merging, tensor products and the blocking-pair decision."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,9 +30,10 @@ from procval import (
     two_party_product_invalid,
     twoway_channel_process,
 )
+from procval import product
 from procval.hsbasis import HSTerm
-from procval.process import FactorRecord
-from procval.product import _merge_records
+from procval.process import _PRODUCT_ROUNDING, FactorRecord
+from procval.product import _built, _merge_records, _merged_subsystems, _resolve_pairing
 
 from helpers import (
     BASE_NAMES,
@@ -510,7 +512,7 @@ class TestFactorRecord:
             hsbasis.coefficient_tensor(built.op, built.layout.subsystem_dims()), None)
         assert np.array_equal(rec.indices, want_idx)
         assert np.abs(rec.values - want_val).max(initial=0.0) <= 1e-12
-        assert rec.tensor is None and rec.op is None
+        assert rec.tensor is None and rec.factors is None
         lam = np.linalg.eigvalsh(built.op)
         scale = max(1.0, float(np.abs(lam).max()))
         assert abs(rec.lam_min - lam[0]) <= 1e-12 * scale
@@ -531,8 +533,10 @@ class TestFactorRecord:
 
     def test_each_operator_is_checked_once(self, monkeypatch):
         """One finiteness and one Hermiticity check per operator, counted over
-        build and validation: the plain operator's, or a built product's own
-        plus one per factor when it is built."""
+        build and validation: the plain operator's, or one per factor when a
+        product is built. A built product's own operator is not checked:
+        its factors' defects and norms bound its checks (the factors here
+        are exactly Hermitian)."""
         def spy(name):
             seen, real = [], getattr(linalg, name)
 
@@ -543,7 +547,7 @@ class TestFactorRecord:
             monkeypatch.setattr(linalg, name, wrapped)
             return seen
 
-        finite, hermitian = spy("_require_finite"), spy("require_hermitian")
+        finite, hermitian = spy("_require_finite"), spy("hermiticity_defect")
 
         def dims_checked(build):
             finite.clear()
@@ -555,9 +559,9 @@ class TestFactorRecord:
         chan, prep = prep_measure_pair()
         w = gallery_entry("oneway-xy-d2").process
         assert dims_checked(lambda: w) == [16]
-        assert dims_checked(lambda: tensor_product(w, chan)) == [4, 16, 64]
+        assert dims_checked(lambda: tensor_product(w, chan)) == [4, 16]
         assert dims_checked(lambda: tensor_product(tensor_product(w, chan), prep)) == [
-            4, 4, 16, 64, 256]
+            4, 4, 16]
 
 
 class TestMergedPruning:
@@ -656,10 +660,30 @@ def prep_measure_pair():
             state_process(np.diag([0.9, 0.1]).astype(complex), layout))
 
 
+@st.composite
+def _valid_pairs(draw):
+    """Two ``random_valid_process`` factors with the same number of parties,
+    and a pairing of their parties in a drawn order."""
+    n = draw(st.integers(1, 3))
+    w, z = (random_valid_process(draw(_layouts(n)), seed=draw(st.integers(0, 2 ** 32 - 1)),
+                                 n_terms=draw(st.integers(1, 12))) for _ in range(2))
+    order = draw(st.permutations(range(n)))
+    return w, z, PartyPairing(tuple(
+        (w.layout.names[k], z.layout.names[order[k]], f"M{k}") for k in range(n)))
+
+
+def _outcome(p):
+    """``is_valid_process(p)``, or the message of the ValueError it raises."""
+    try:
+        return is_valid_process(p)
+    except ValueError as err:
+        return str(err)
+
+
 class TestBuiltProductSpectrum:
-    """A ``tensor_product`` result carries extreme eigenvalues and term rows
-    merged from its factors' records when it is built. Its verdict, trace
-    defect and forbidden-term indices are those of the record-free copy
+    """A ``tensor_product`` result carries the record merged from its
+    factors' records when it is built. Its verdict, trace defect and
+    forbidden-term indices are those of the record-free copy
     ``dense_product``, whose operator is eigendecomposed and extracted;
     coefficients agree within 1e-12. Eigendecompositions are counted over
     build and validation."""
@@ -730,7 +754,7 @@ class TestBuiltProductSpectrum:
             linalg.require_hermitian(w.op)
         p = tensor_product(w, z)
         linalg.require_hermitian(p.op)
-        assert p._extremes is None and p._rows is None
+        assert p._record is None
         got, want = is_valid_process(p), is_valid_process(ProcessMatrix(p.layout, p.op))
         assert got == want
 
@@ -751,15 +775,102 @@ class TestBuiltProductSpectrum:
         h = twoway_channel_process(2)
         w = ProcessMatrix(h.layout, h.op.copy())
         p = tensor_product(w, w)
+        before = FactorRecord.of(p)
+        # The record was merged when the product was built, and the product
+        # keeps a copy of its factor: the first read of op, after the factor
+        # is zeroed in place, still makes the product as it was built.
+        w.op[:] = 0.0
+        assert FactorRecord.of(p) is before is p._record
+        assert "op" not in vars(p)
+        assert p.op.tobytes() == dense_product(h, h).op.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             p.op[0, 0] = 1.0
-        before = FactorRecord.of(p)
-        w.op[:] = 0.0  # the extremes and rows were read when the product was built
-        after = FactorRecord.of(p)
-        assert (after.lam_min, after.lam_max) == (before.lam_min, before.lam_max)
-        assert np.array_equal(after.values, before.values)
         copy = ProcessMatrix(p.layout, p.op)
-        assert copy._extremes is None and copy._rows is None
+        assert copy._record is None
+
+    @staticmethod
+    def assert_raises_or_matches_dense(p):
+        """``is_valid_process(p)`` raises, with the same message, exactly when
+        the record-free copy raises; otherwise it gives the same verdict,
+        forbidden terms and trace defect, and a PSD defect within 1e-12 of
+        the norm. Returns how ``p`` was decided: "lazy" from its record
+        alone, "dense" from its record after its made operator was checked,
+        "none" with no record; "-raises" is added when both raise."""
+        got = _outcome(p)
+        path = "none" if p._record is None else "dense" if "op" in vars(p) else "lazy"
+        want = _outcome(ProcessMatrix(p.layout, p.op))
+        if isinstance(got, str) or isinstance(want, str):
+            assert got == want
+            return path + "-raises"
+        assert got.verdict == want.verdict
+        assert_same_terms(got.forbidden_terms, want.forbidden_terms)
+        assert got.trace_defect == want.trace_defect
+        assert abs(got.psd_defect - want.psd_defect) <= 1e-12 * linalg.frobenius(p.op)
+        return path
+
+    def test_factor_defects_around_their_limits(self):
+        """Factors whose anti-Hermitian part is 0.5x, 1x and 2x their own
+        Hermiticity limit, paired so that the product bound falls on either
+        side of the product limit: the record decides below it, the made
+        operator is checked above it (and may fail), and a factor that fails
+        its own check leaves the product to the dense path, as does
+        ``(iH) x (iH)``."""
+        h = twoway_channel_process(2)
+        bell = gallery_entry("state-bell-d2").process
+        ramp = np.add.outer(np.arange(16.0), np.arange(16.0)) / 30.0  # largest entry 1
+        paths = []
+        for f, w_scale, z_scale in itertools.product((0.5, 1.0, 2.0), (0.1, 1.0), (0.1, 2.0, 10.0)):
+            op = w_scale * h.op
+            limit = 1e-12 * (1.0 + linalg.frobenius(op))
+            w = ProcessMatrix(h.layout, op + 0.5j * f * limit * ramp)  # max|W - W^+| = f limit
+            z = ProcessMatrix(bell.layout, z_scale * bell.op)
+            for a, b in ((w, z), (w, w)):
+                paths.append(self.assert_raises_or_matches_dense(tensor_product(a, b)))
+        anti = ProcessMatrix(h.layout, 1j * h.op)
+        paths.append(self.assert_raises_or_matches_dense(tensor_product(anti, anti)))
+        assert set(paths) == {"lazy", "dense", "dense-raises", "none", "none-raises"}
+        assert paths[-1] == "none"
+
+    @pytest.mark.parametrize("scale, path", [(1e149, "lazy"), (1e151, "dense"),
+                                             (3e153, "dense"), (1e155, "none-raises")])
+    def test_factors_near_the_double_range(self, scale, path):
+        """Factors near 1e154 put the norm product near overflow. Up to 1e300
+        the record decides; above it the made operator is checked; at 1e155
+        the product's norm overflows, so it carries no record, and both
+        raise on its infinite entries."""
+        h = twoway_channel_process(2)
+        bell = gallery_entry("state-bell-d2").process
+        w, z = (ProcessMatrix(p.layout, scale * p.op) for p in (h, bell))
+        assert self.assert_raises_or_matches_dense(tensor_product(w, z)) == path
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_factor_pairs(), st.floats(0.0, 1e-13))
+    def test_carried_bound_holds_on_the_made_operator(self, case, skew):
+        """What ``checks_certain`` compares holds on the made operator: its
+        Hermiticity defect is at most the carried bound, and its norm is at
+        least the carried norm less ``c·ε`` of it. Each factor gets an
+        anti-Hermitian part of relative size ``skew``, within its own limit."""
+        w, z, pairing = case
+        rng = np.random.default_rng(len(w.op) + len(z.op))
+        hs = [random_hermitian(p.dim, rng) for p in (w, z)]
+        w, z = (ProcessMatrix(p.layout, p.op + 1j * skew * linalg.frobenius(p.op) * h
+                              / np.abs(h).max()) for p, h in zip((w, z), hs))
+        p = tensor_product(w, z, pairing=pairing)
+        assert p._record is not None
+        assert linalg.hermiticity_defect(p.op) <= p._record.defect
+        assert linalg.frobenius(p.op) >= (1.0 - _PRODUCT_ROUNDING) * p._record.norm
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_valid_pairs())
+    def test_trace_is_the_built_operators_bit_for_bit(self, case):
+        """The carried trace is summed over the product's diagonal in the
+        order ``op.trace()`` sums it, so the trace defects are equal."""
+        w, z, pairing = case
+        p = tensor_product(w, z, pairing=pairing)
+        got = is_valid_process(p).trace_defect
+        assert "op" not in vars(p)
+        assert FactorRecord.of(p).trace == float(p.op.trace().real)
+        assert got == is_valid_process(ProcessMatrix(p.layout, p.op)).trace_defect
 
     def test_explicit_term_threshold_extracts(self):
         """A caller-given term threshold reads the built operator's own
@@ -778,6 +889,131 @@ class TestBuiltProductSpectrum:
                                 PartyPairing.positional(w.layout, z.layout), p.layout)
         with pytest.raises(ValueError, match="explicit term threshold"):
             merged.patterns(0.0)
+
+
+class TestBuiltOperator:
+    """``product._built`` writes the product operator with one multiply.
+    Its bits are those of the Kronecker product reordered by
+    ``linalg.permute_subsystems``, and so are those a built product makes
+    when its ``op`` is first read, and those of its carried diagonal."""
+
+    @staticmethod
+    def assert_bits(w, z, pairing=None):
+        resolved = _resolve_pairing(w.layout, z.layout, pairing)
+        nw = 2 * w.layout.n_parties
+        perm = [k for a, b in _merged_subsystems(w.layout, z.layout, resolved) for k in (a, nw + b)]
+        want = linalg.permute_subsystems(linalg.tensor(w.op, z.op),
+                                         w.layout.subsystem_dims() + z.layout.subsystem_dims(), perm)
+        p = tensor_product(w, z, pairing=pairing)
+        built = _built(w, z, resolved, p.layout).op
+        assert not built.flags.writeable
+        if p._record is not None:
+            assert p._record.factors.diagonal().tobytes() == np.diagonal(want).tobytes()
+        assert built.tobytes() == p.op.tobytes() == want.tobytes()
+
+    def test_gallery_pairs_and_crossed_pairings(self):
+        swapped = PartyPairing((("Y", "X", "B"), ("X", "Y", "A")))
+        for a, b in itertools.product(BASE_NAMES, repeat=2):
+            for pairing in (None, swapped):
+                self.assert_bits(gallery_entry(a).process, gallery_entry(b).process, pairing)
+
+    def test_one_dimensional_ends(self):
+        chan, prep = prep_measure_pair()
+        crossed = PartyPairing((("M", "P", "A"), ("P", "M", "B")))
+        idle = PartyLayout.of(("P", 1, 1), ("M", 1, 1))
+        one = ProcessMatrix(idle, np.array([[1.0 + 0.5j]]))
+        for w, z in itertools.product((chan, prep, one), repeat=2):
+            for pairing in (None, crossed):
+                self.assert_bits(w, z, pairing)
+
+    def test_random_operators_under_rotated_pairings(self):
+        """Random valid factors (made lazily) and random complex operators
+        (whose products are made when built), entries that are not exact."""
+        rng = np.random.default_rng(7)
+        for seed in range(4):
+            w = random_valid_process(THREE_PARTIES, seed=seed, n_terms=10)
+            z = random_valid_process(THREE_PARTIES, seed=10 + seed, n_terms=10)
+            self.assert_bits(w, z, ROTATED)
+            g = [rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)) for _ in range(2)]
+            self.assert_bits(*(ProcessMatrix(THREE_PARTIES, x) for x in g), ROTATED)
+
+
+def count_builds(monkeypatch) -> list[int]:
+    """Wrap ``product._built`` for the rest of the test; the returned list
+    collects the dimension of every operator it makes."""
+    dims, real = [], product._built
+
+    def spy(w, z, pairing, layout):
+        dims.append(layout.dim)
+        return real(w, z, pairing, layout)
+
+    monkeypatch.setattr(product, "_built", spy)
+    return dims
+
+
+class TestLazyOperator:
+    """A built product makes its operator only when ``op`` is read."""
+
+    def test_dim_6561_product_is_decided_from_its_factors(self, monkeypatch):
+        """``twoway-d3`` squared: its operator alone would be 689 MB."""
+        w = gallery_entry("twoway-d3").process
+        builds = count_builds(monkeypatch)
+        tracemalloc.start()
+        try:
+            p = tensor_product(w, w)
+            report = is_valid_process(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.dim == 6561 and builds == []
+        assert peak < 64 * 2 ** 20, peak
+        assert report.verdict is False and report.verdict == find_blocking_pairs(w, w).verdict
+        assert report.trace_defect == 0.0 and len(report.forbidden_terms) == 1740
+
+    def test_nested_products_never_build(self, monkeypatch):
+        """The cyclic triple, built as ``(x y) z`` (dim 4096), is decided with
+        no operator made, and so are the searches, folds and signalling
+        queries on a built product."""
+        x, y, z = cyclic_triple()
+        builds = count_builds(monkeypatch)
+        xy = tensor_product(x, y)
+        p = tensor_product(xy, z)
+        assert len(is_valid_process(p).forbidden_terms) == 216
+        assert find_blocking_pairs(xy, z).verdict is False
+        assert check_sequence([xy, z]).first_invalid_step == 0
+        assert signalling_directions(xy, "X", "Y") and not signalling_directions(xy, "Y", "X")
+        assert builds == []
+
+    def test_triple_with_idle_qubits_is_decided_at_dim_262144(self, monkeypatch):
+        """The cyclic triple with a qubit idle party in place of each 1->1
+        one: its product's operator would take 1 TiB, and it is decided from
+        the records alone, as the fold decides it."""
+        builds = count_builds(monkeypatch)
+        factors = []
+        for f in cyclic_triple():
+            idle = PartyLayout.of(*((q.name, 2, 2) if q.d_in == 1 else (q.name, 1, 1)
+                                    for q in f.layout.parties))
+            factors.append(tensor_product(f, state_process(maximally_mixed(2), idle)))
+        p = tensor_product(tensor_product(factors[0], factors[1]), factors[2])
+        assert [f.dim for f in factors] == [64] * 3 and p.dim == 2 ** 18
+        report = is_valid_process(p)
+        assert report.verdict is False and report.forbidden_terms
+        assert check_sequence(factors).first_invalid_step == 1
+        assert all(is_valid_process(f).verdict for f in factors)
+        assert builds == []
+
+    def test_a_first_read_makes_each_level_once(self, monkeypatch):
+        h = twoway_channel_process(2)
+        chan, prep = prep_measure_pair()
+        want = dense_product(h, chan).op
+        inner = tensor_product(h, chan)
+        p = tensor_product(inner, prep)
+        builds = count_builds(monkeypatch)
+        assert p.op is p.op and p.op is p._record.factors.op
+        assert sorted(builds) == [64, 256]
+        assert inner.op.tobytes() == want.tobytes()
+        assert sorted(builds) == [64, 256]
+        assert two_party_product_invalid(inner, h) is True and sorted(builds) == [64, 256]
 
 
 @st.composite
