@@ -125,10 +125,15 @@ def _extract(a: np.ndarray, dims: Sequence[int]) -> np.ndarray:
         raise ValueError(f"shape {dims} does not match matrix dimension {a.shape[0]}")
     # Interleave (row_k, col_k), so that each pair is one axis of size d_k^2.
     order = [ax for k in range(n) for ax in (k, k + n)]
-    t = _contract(a.reshape(dims + dims).transpose(order), [_extraction_matrix(d) for d in dims])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
+        t = _contract(a.reshape(dims + dims).transpose(order), [_extraction_matrix(d) for d in dims])
     coeffs = t.real / total
     residue = float(np.abs(t.imag).max()) / total
-    if residue > 1e-10 * (1.0 + float(np.abs(coeffs).max(initial=0.0))):
+    peak = float(np.abs(coeffs).max(initial=0.0))
+    # Both are finite exactly when every coefficient is.
+    if not (math.isfinite(residue) and math.isfinite(peak)) and np.isfinite(a).all():
+        raise ValueError("coefficient extraction overflowed: entries too close to the double range")
+    if residue > 1e-10 * (1.0 + peak):
         raise ValueError(f"coefficient extraction left imaginary residue {residue:.3e}")
     return coeffs
 

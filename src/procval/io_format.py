@@ -7,8 +7,9 @@ fixed key order, shortest round-trip float representation, one entry per
 line, newline-terminated — so equal values produce byte-identical documents
 and serialize(parse(serialize(w))) is a fixed point. Entry flattening follows
 the package-wide convention: row-major, inputs before outputs, parties in
-declared order. A document in the canonical layout is read in one flat pass;
-any other by ``json.loads`` of the whole text, to the same values and errors.
+declared order. A document in the canonical layout is read in one flat pass
+over its distinct entry lines; any other by ``json.loads`` of the whole text,
+to the same values and errors. Each distinct entry is formatted once.
 """
 
 from __future__ import annotations
@@ -116,6 +117,30 @@ _CANONICAL_HEAD = re.compile(
 _CANONICAL_TAIL = re.compile(r'\n    \]\n  \}(?:,\n  "metadata": ([^\n]*))?\n\}\n')
 _NUMBER_CHARS = b"0123456789.eE+-"
 _ENTRY_LINE = b"      [, ],\n"  # an entry line without its numbers
+_PIECE = 1 << 16  # bytes of entry lines split at a time
+
+
+def _line_numbers(body: bytes) -> tuple[list[bytes], np.ndarray] | None:
+    """The distinct lines of an entry block in first-seen order, and the
+    number of each of its lines among them. The block is split a piece of
+    about ``_PIECE`` bytes at a time, so that only a few thousand line
+    objects exist at once. None as soon as a piece holds only lines not seen
+    before: such a block is left to be decoded whole, since splitting and
+    keying all of its lines would add about a fifth to that."""
+    rank: dict[bytes, int] = {}
+    parts = []
+    start = 0
+    while True:
+        cut = body.find(b",\n", start + _PIECE)  # a piece ends where a line does
+        lines = body[start:cut if cut >= 0 else len(body)].split(b",\n")
+        new = [line for line in dict.fromkeys(lines) if line not in rank]
+        if len(new) == len(lines):
+            return None
+        rank.update(zip(new, itertools.count(len(rank))))
+        parts.append(np.fromiter(map(rank.__getitem__, lines), dtype=np.intp, count=len(lines)))
+        if cut < 0:
+            return list(rank), np.concatenate(parts)
+        start = cut + 2
 
 
 def _canonical_document(text: str) -> dict | None:
@@ -125,12 +150,16 @@ def _canonical_document(text: str) -> dict | None:
 
     The header and metadata go through ``json.loads`` as on the general path.
     The entry lines must be ``serialize``'s lines, each value one run of
-    ``0-9 . e E + -`` in its place, and all ``2 dim^2`` values decode as one
-    flat JSON array: the same scanner as the general path, so ``-0`` still
-    reads as ``+0.0`` and ``1e400`` as ``inf``. Anything else (other
-    whitespace, ``NaN``, ``true``, strings, an integer beyond the double
-    range, a truncated document) gives None, and the general path reads the
-    text and raises its errors."""
+    ``0-9 . e E + -`` in its place, and the values decode as one flat JSON
+    array: the same scanner as the general path, so ``-0`` still reads as
+    ``+0.0`` and ``1e400`` as ``inf``. Where lines repeat, only the distinct
+    entry lines are checked and decoded, each once, and the entries gathered
+    from them (:func:`_line_numbers`); a line's bytes fix its value, and the
+    layout checks of a body hold for every line of it exactly when they hold
+    for each distinct line. Anything
+    else (other whitespace, ``NaN``, ``true``, strings, an integer beyond the
+    double range, a truncated document) gives None, and the general path
+    reads the text and raises its errors."""
     head = _CANONICAL_HEAD.match(text)
     tail_at = text.rfind("\n    ]\n  }")
     tail = _CANONICAL_TAIL.fullmatch(text, tail_at) if head and tail_at >= head.end() else None
@@ -145,18 +174,25 @@ def _canonical_document(text: str) -> dict | None:
         # Each entry line has 14 characters or more, which bounds the template.
         if not 0 < 14 * n - 2 <= len(body):
             return None
-        # Without its number characters the body must be the entry lines, and
+        m, index = n, None
+        numbered = _line_numbers(body)
+        if numbered is not None and len(numbered[1]) == n:  # else the checks below fail
+            distinct, index = numbered
+            m = len(distinct)
+            body = b",\n".join(distinct)
+        # Without its number characters the body must be m entry lines, and
         # none of them may sit outside a value's place: in the indent, inside
         # ", " or "],\n", or after the last "]".
-        if not (body.translate(None, _NUMBER_CHARS) == _ENTRY_LINE * (n - 1) + _ENTRY_LINE[:-2]
+        if not (body.translate(None, _NUMBER_CHARS) == _ENTRY_LINE * (m - 1) + _ENTRY_LINE[:-2]
                 and body.startswith(b"      [") and body.endswith(b"]")
-                and body.count(b"],\n      [") == n - 1 and body.count(b", ") == n):
+                and body.count(b"],\n      [") == m - 1 and body.count(b", ") == m):
             return None
         values = json.loads(b"[" + body.translate(None, b"[] \n") + b"]")
-        flat = np.fromiter(values, dtype=np.float64, count=2 * n)
+        flat = np.fromiter(values, dtype=np.float64, count=2 * m)
     except (ValueError, OverflowError):  # a JSON error, an integer beyond the double range
         return None
-    doc["matrix"]["entries"] = flat.view(np.complex128)
+    entries = flat.view(np.complex128)
+    doc["matrix"]["entries"] = entries if index is None else entries[index]
     return doc
 
 
@@ -224,25 +260,39 @@ def parse(text: str) -> ProcessMatrix:
     return parse_document(text)[0]
 
 
-_CHUNK = 4096  # entries formatted per batch, bounding the temporary lists
+_CHUNK = 4096  # entries formatted or keyed per batch, bounding the temporary lists
 _ENTRY = "      [{!r}, {!r}]".format  # repr: the shortest round-trip decimal
 
 
 def _entry_lines(flat: np.ndarray) -> str:
     """The entry lines of a flattened operator, comma-separated.
 
-    Each value goes through ``repr`` of its Python float, so ``-0.0`` and
-    every other value print exactly as a per-entry ``repr`` would; values
-    are never de-duplicated, since ``0.0 == -0.0`` but their text differs."""
+    Each value goes through ``repr`` of its Python float, so every value
+    prints exactly as a per-entry ``repr`` would. Entries are keyed by their
+    16 raw bytes and each distinct entry is formatted once, so ``0.0`` and
+    ``-0.0``, equal as floats, keep their own text. From a chunk of entries
+    that are all new on, each entry is formatted, as keying them would cost
+    more than it saves."""
     finite = np.isfinite(flat)
     if not finite.all():
         bad = flat[~finite][0]
         x = bad.real if not np.isfinite(bad.real) else bad.imag
         raise ValueError(f"cannot serialize non-finite entry {x!r}")
-    return ",\n".join(
-        ",\n".join(map(_ENTRY, flat.real[s:s + _CHUNK].tolist(),
-                       flat.imag[s:s + _CHUNK].tolist()))
-        for s in range(0, flat.size, _CHUNK))
+    keys = flat.view("V16")  # the bits of each entry
+    line = {}  # the line of each distinct entry, by its bits
+    chunks = []
+    for s in range(0, flat.size, _CHUNK):
+        chunk = keys[s:s + _CHUNK].tolist()
+        new = [k for k in dict.fromkeys(chunk) if k not in line]
+        if len(new) == len(chunk):
+            chunks += (",\n".join(map(_ENTRY, flat.real[r:r + _CHUNK].tolist(),
+                                      flat.imag[r:r + _CHUNK].tolist()))
+                       for r in range(s, flat.size, _CHUNK))
+            break
+        values = np.frombuffer(b"".join(new), dtype=np.complex128)
+        line.update(zip(new, map(_ENTRY, values.real.tolist(), values.imag.tolist())))
+        chunks.append(",\n".join(map(line.__getitem__, chunk)))
+    return ",\n".join(chunks)
 
 
 def serialize(w: ProcessMatrix, metadata: dict | None = None) -> str:

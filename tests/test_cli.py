@@ -7,6 +7,7 @@ import json
 import pytest
 
 from procval import (
+    ProcessMatrix,
     find_blocking_pairs,
     gallery_entry,
     gallery_names,
@@ -335,6 +336,18 @@ def test_non_finite_entry_is_an_input_error(docs, capsys, command):
     files = [docs["nan"]] * (2 if command == "product" else 1)
     assert main([command, *files]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e154, 2e154])
+def test_extraction_overflow_is_an_input_error(tmp_path, capsys, scale):
+    """Entries up to about 2.5e307 are finite, but their coefficients
+    overflow: ``validate`` exits 2 and names the overflow."""
+    w, z = (ProcessMatrix(p.layout, scale * p.op) for p in (
+        twoway_channel_process(2), gallery_entry("state-bell-d2").process))
+    path = tmp_path / "near-overflow.procmat.json"
+    path.write_text(serialize(tensor_product(w, z)), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert "coefficient extraction overflowed" in capsys.readouterr().err
 
 
 def test_oracle_never_passes_a_non_finite_entry(docs, capsys):

@@ -1,5 +1,6 @@
 """Tests for the procmat/1 interchange format."""
 
+import functools
 import json
 import math
 
@@ -14,6 +15,7 @@ from procval import (
     gallery_names,
     parse,
     serialize,
+    tensor_product,
 )
 from procval import io_format
 from procval.io_format import (
@@ -286,8 +288,30 @@ def read_both(text):
     return read(text), general
 
 
+def signed_zeros(seed=0):
+    """``twoway-d2`` with the sign of each zero part drawn at random: many
+    repeated lines, some differing only in the sign of a zero."""
+    w = gallery_entry("twoway-d2").process
+    rng = np.random.default_rng(seed)
+    signs = np.where(rng.random((2,) + w.op.shape) < 0.5, -1.0, 1.0)
+    op = np.empty_like(w.op)  # arithmetic such as re + 1j*im would lose the signs
+    op.real, op.imag = w.op.real * signs[0], w.op.imag * signs[1]
+    return ProcessMatrix(w.layout, op)
+
+
+@functools.lru_cache(maxsize=None)
+def product_256():
+    """A dim-256 gallery product: 65,536 lines of 3 distinct entries."""
+    return tensor_product(gallery_entry("twoway-d2").process,
+                          gallery_entry("oneway-xy-d2").process)
+
+
+SYNTHETIC = {"signed-zeros": signed_zeros, "product-256": product_256}
+
+
 def canonical(name="twoway-d2", metadata=None):
-    return serialize(gallery_entry(name).process, metadata=metadata)
+    w = SYNTHETIC[name]() if name in SYNTHETIC else gallery_entry(name).process
+    return serialize(w, metadata=metadata)
 
 
 def set_entry(text, k, line):
@@ -370,6 +394,20 @@ def mutations():
     yield "d_in", text.replace('"d_in": 2', '"d_in": 0', 1)
     yield "escaped name", text.replace('"name": "X"', '"name": "\\u0058\\""')
     yield "duplicate name", text.replace('"name": "Y"', '"name": "X"')
+    # Repetition-heavy texts: a dim-256 product (its entry block is 18 of the
+    # reader's pieces) and lines that differ only in the sign of a zero.
+    big = canonical("product-256")
+    yield "NaN in one repeated line late", set_entry(big, 60000, "[NaN, 0.0]")
+    yield "space in one repeated line late", set_entry(big, 50000, "[0.0,  0.0]")
+    yield "string in the last line", set_entry(big, 65535, '["0.0", 0.0]')
+    yield "huge integer late", set_entry(big, 40000, f"[{'9' * 400}, 0]")
+    yield "signed zero late", set_entry(big, 30000, "[-0.0, 0.0]")
+    yield "integer late", set_entry(big, 30000, "[0, -0]")
+    yield "one line fewer", big.replace("      [0.0, 0.0],\n", "", 1)
+    zeros = canonical("signed-zeros")
+    yield "signed zeros", zeros
+    yield "signed zeros, one line with a plus", zeros.replace("[-0.0, 0.0]", "[-0.0, +0.0]", 1)
+    yield "signed zeros, tab", zeros.replace("[0.0, -0.0],", "[0.0,\t-0.0],", 1)
 
 
 @pytest.mark.parametrize("text", [t for _, t in mutations()], ids=[k for k, _ in mutations()])
@@ -394,7 +432,8 @@ TOKENS = ["0.0", "-0.0", "0", "-0", "1", "-", "e", ".", "1E+2", "1e-5", "1e400",
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(name=st.sampled_from(["twoway-d2", "state-bell-d2", "oneway-xy-d2"]),
+@given(name=st.sampled_from(["twoway-d2", "state-bell-d2", "oneway-xy-d2", "signed-zeros",
+                             "twoway-d3"]),
        values=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(TOKENS)),
                        max_size=3),
        inserts=st.lists(st.tuples(st.floats(0, 1), st.sampled_from(TOKENS + list("\r\n []{},\""))),
@@ -403,19 +442,197 @@ def test_flat_reader_matches_json_loads_on_random_edits(name, values, inserts):
     """Tokens put in place of entry values, then tokens inserted anywhere in
     the text (the header, the closing lines and the metadata included):
     whatever the text becomes, the reader with the canonical-layout path
-    gives what the json.loads path gives."""
+    gives what the json.loads path gives. Every document repeats its lines;
+    the entry block of ``twoway-d3`` is two of the reader's pieces."""
     text = canonical(name, {"note": "a [b], c"})
     lines = text.split("\n")
     first = lines.index('    "entries": [') + 1
-    pairs = [line.strip().rstrip(",")[1:-1].split(", ") for line in lines[first:first + 256]]
+    last = lines.index("    ]", first)
+    pairs = [line.strip().rstrip(",")[1:-1].split(", ") for line in lines[first:last]]
     for where, token in values:
-        k = int(where * 512)
+        k = int(where * 2 * len(pairs))
         pairs[k // 2][k % 2] = token
-    lines[first:first + 256] = [f"      [{a}, {b}]," for a, b in pairs]
-    lines[first + 255] = lines[first + 255][:-1]
+    lines[first:last] = [f"      [{a}, {b}]," for a, b in pairs]
+    lines[last - 1] = lines[last - 1][:-1]
     text = "\n".join(lines)
     for where, token in inserts:
         at = int(where * len(text))
         text = text[:at] + token + text[at:]
     fast, general = read_both(text)
     assert fast == general
+
+
+# Documents are read and written per distinct entry: the reader decodes each
+# distinct entry line once, the writer formats each distinct entry once.
+
+@pytest.fixture()
+def decoded(monkeypatch):
+    """The length of each list ``json.loads`` returns during the test."""
+    lengths = []
+    real = json.loads
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if isinstance(out, list):
+            lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(json, "loads", spy)
+    return lengths
+
+
+@pytest.fixture()
+def formatted(monkeypatch):
+    """The entries ``serialize`` formats during the test, in order."""
+    entries = []
+    real = io_format._ENTRY
+
+    def spy(re, im):
+        entries.append((re, im))
+        return real(re, im)
+
+    monkeypatch.setattr(io_format, "_ENTRY", spy)
+    return entries
+
+
+def assert_matches_the_references(text):
+    """``parse`` reads ``text`` as ``json.loads`` of the whole text and the
+    entry-by-entry reference do, bit for bit, and ``serialize`` writes the
+    loop reference's bytes. Returns the parsed process."""
+    fast, general = read_both(text)
+    assert fast == general
+    w = parse(text)
+    assert w.op.reshape(-1).tobytes() == loop_parse_entries(text).tobytes()
+    assert serialize(w) == loop_serialize(w)
+    return w
+
+
+def distinct_lines(text):
+    lines = text.split("\n")
+    first = lines.index('    "entries": [') + 1
+    return {line.rstrip(",") for line in lines[first:lines.index("    ]", first)]}
+
+
+@pytest.mark.parametrize("name", ["product-256", "twoway-d4", "signed-zeros", "twoway-d3"])
+def test_repeated_lines_are_read_and_written_once_each(name, decoded, formatted):
+    text = canonical(name)
+    assert io_format._canonical_document(text) is not None
+    m = len(distinct_lines(text))
+    del decoded[:], formatted[:]
+    w = parse(text)
+    assert decoded == [2 * m]
+    serialize(w)
+    assert len(formatted) == m
+    del formatted[:]
+    assert serialize(assert_matches_the_references(text)) == text
+
+
+def test_lines_differing_only_in_the_sign_of_zero_keep_their_bits():
+    w = signed_zeros(seed=3)
+    text = serialize(w)
+    assert {"      [0.0, 0.0]", "      [-0.0, 0.0]", "      [0.0, -0.0]",
+            "      [-0.0, -0.0]"} <= distinct_lines(text)
+    back = assert_matches_the_references(text)
+    assert back.op.tobytes() == w.op.tobytes()
+    assert serialize(back) == text == loop_serialize(w)
+
+
+@pytest.mark.parametrize("k", [0, 5000, 65535])
+@pytest.mark.parametrize("line", ["[NaN, 0.0]", "[0.0,  0.0]", "[true, 0.0]",
+                                  f"[{'9' * 400}, 0]", "[1e400, 0.0]", "[-0, 0.0]",
+                                  "[0.25, 0.0]"])
+def test_one_changed_occurrence_of_a_repeated_line(k, line):
+    """One occurrence of a line that repeats thousands of times is changed,
+    in the first, second and last of the reader's pieces: the text is read
+    as the json.loads path reads it, to the same values or the same error."""
+    text = canonical("product-256")
+    mutated = set_entry(text, k, line)
+    fast, general = read_both(mutated)
+    assert fast == general
+    canonical_path = io_format._canonical_document(mutated) is not None
+    assert canonical_path == (line in ("[1e400, 0.0]", "[-0, 0.0]", "[0.25, 0.0]"))
+    if line != "[1e400, 0.0]" and canonical_path:  # infinite values are not written
+        assert_matches_the_references(mutated)
+
+
+def test_repeated_integer_lines():
+    text = canonical("twoway-d2")
+    for k in range(0, 256, 3):
+        text = set_entry(text, k, "[1, 0]" if k % 2 else "[0, -0]")
+    assert io_format._canonical_document(text) is not None
+    w = assert_matches_the_references(text)
+    assert w.op.reshape(-1)[3] == 1.0
+    assert np.signbit(w.op.reshape(-1)[6].imag) == False  # the integer -0 reads as +0.0
+    assert "[1, 0]" not in serialize(w) and "      [1.0, 0.0]" in serialize(w)
+
+
+@pytest.mark.parametrize("line, value", [("[1.0, 0.0]", 1.0), ("[-0.0, 0.0]", -0.0),
+                                         ("[1, 0]", 1.0), ("[2.5e-3, -1E+2]", 0.0025 - 100j)])
+def test_dim_one_document(line, value):
+    text = serialize(ProcessMatrix(PartyLayout.of(("A", 1, 1)), np.ones((1, 1))))
+    text = set_entry(text, 0, line)
+    assert io_format._canonical_document(text) is not None
+    w = assert_matches_the_references(text)
+    assert w.op.tobytes() == np.array([[value]], dtype=np.complex128).tobytes()
+
+
+def test_all_distinct_random_document(decoded, formatted):
+    layout = PartyLayout.of(("X", 4, 4), ("Y", 4, 4))
+    rng = np.random.default_rng(11)
+    op = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    text = serialize(ProcessMatrix(layout, op))
+    assert len(formatted) == 256 * 256
+    assert len(distinct_lines(text)) == 256 * 256
+    del decoded[:]
+    assert parse(text).op.tobytes() == op.tobytes()
+    assert decoded == [2 * 256 * 256]
+    assert_matches_the_references(text)
+
+
+@pytest.mark.parametrize("first_repeat", [1, 3120, 3121, 4095, 4096, 6000])
+def test_repeats_that_start_at_the_first_piece_ends(first_repeat, decoded, formatted):
+    """Lines all distinct before line ``first_repeat``, which repeats the line
+    before it, as do all later ones. The reader splits pieces of about
+    ``_PIECE`` bytes (3121 lines of 21 bytes here), the writer chunks of
+    ``_CHUNK`` entries: a repeat in the first has each decode or format
+    every distinct entry once; a later one leaves them to the whole block,
+    to the same values and bytes."""
+    layout = PartyLayout.of(("X", 9, 9))
+    flat = np.full(81 * 81, 9999.5, dtype=np.complex128)  # 21 bytes a line, as below
+    flat[:first_repeat - 1] = np.arange(first_repeat - 1) + 1000.5
+    text = serialize(ProcessMatrix(layout, flat.reshape(81, 81)))
+    body = text[text.index("[\n      [") + 2:].encode()
+    assert body[:body.find(b",\n", io_format._PIECE)].count(b",\n") + 1 == 3121
+    del decoded[:], formatted[:]
+    w = assert_matches_the_references(text)
+    assert w.op.reshape(-1).tobytes() == flat.tobytes()
+    assert decoded[0] == 2 * (81 * 81 if first_repeat >= 3121 else first_repeat)
+    assert len(formatted) == (81 * 81 if first_repeat >= io_format._CHUNK else first_repeat)
+
+
+def test_line_numbers_across_pieces():
+    """A block split into pieces numbers its lines as one split of the whole
+    block would: each distinct line by first sight, later pieces reusing the
+    numbers of earlier ones."""
+    text = canonical("product-256")
+    body = text[text.index("[\n      [") + 2:text.rindex("\n    ]\n  }")].encode()
+    lines = body.split(b",\n")
+    distinct, index = io_format._line_numbers(body)
+    assert distinct == list(dict.fromkeys(lines))
+    assert [distinct[k] for k in index.tolist()] == lines
+
+
+def test_distinct_lines_after_repeated_ones(decoded, formatted):
+    """The first 100 lines repeat, all later ones are distinct: the reader
+    stops keying at its first piece of new lines and decodes the whole block,
+    and the writer formats each entry from its first chunk of new entries
+    on, to the same values and bytes."""
+    layout = PartyLayout.of(("X", 9, 9))
+    flat = np.arange(81 * 81) + 1000.5 + 0j
+    flat[:100] = 9999.5
+    text = serialize(ProcessMatrix(layout, flat.reshape(81, 81)))
+    del decoded[:], formatted[:]
+    w = assert_matches_the_references(text)
+    assert w.op.reshape(-1).tobytes() == flat.tobytes()
+    assert decoded[0] == 2 * 81 * 81
+    assert len(formatted) == (io_format._CHUNK - 99) + (81 * 81 - io_format._CHUNK)

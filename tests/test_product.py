@@ -832,7 +832,8 @@ class TestBuiltProductSpectrum:
         assert paths[-1] == "none"
 
     @pytest.mark.parametrize("scale, path", [(1e149, "lazy"), (1e151, "dense"),
-                                             (3e153, "dense"), (1e155, "none-raises")])
+                                             (3e153, "dense"), (1e154, "none-raises"),
+                                             (2e154, "none-raises"), (1e155, "none-raises")])
     def test_factors_near_the_double_range(self, scale, path):
         """Factors near 1e154 put the norm product near overflow. Up to 1e300
         the record decides; above it the made operator is checked; at 1e155
@@ -842,6 +843,21 @@ class TestBuiltProductSpectrum:
         bell = gallery_entry("state-bell-d2").process
         w, z = (ProcessMatrix(p.layout, scale * p.op) for p in (h, bell))
         assert self.assert_raises_or_matches_dense(tensor_product(w, z)) == path
+
+    @pytest.mark.parametrize("scale", [1e154, 2e154])
+    def test_extraction_overflow_is_a_value_error(self, scale):
+        """At 1e154 and 2e154 every entry of the product is finite (up to
+        about 2.5e307) but its coefficients are not: the built product and
+        its record-free copy raise a ValueError that names the overflow, and
+        no RuntimeWarning."""
+        h = twoway_channel_process(2)
+        bell = gallery_entry("state-bell-d2").process
+        w, z = (ProcessMatrix(p.layout, scale * p.op) for p in (h, bell))
+        p = tensor_product(w, z)
+        assert np.isfinite(p.op).all()
+        for q in (p, ProcessMatrix(p.layout, p.op)):
+            with pytest.raises(ValueError, match="coefficient extraction overflowed"):
+                is_valid_process(q)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_factor_pairs(), st.floats(0.0, 1e-13))
