@@ -237,6 +237,13 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class ValidityReport:
+    """Verdict of :func:`is_valid_process` and what decided it.
+    ``forbidden_terms`` lists the terms that break the term rule, with their
+    signatures: over the Gell-Mann basis of each subsystem for an extracted
+    operator, and over the factors' product basis for a built product's
+    carried record (an explicit term threshold extracts its made operator,
+    so its terms are then over the Gell-Mann basis too)."""
+
     verdict: bool
     psd_defect: float
     trace_defect: float
@@ -308,15 +315,17 @@ class FactorRecord:
     the extreme eigenvalues of its Hermitian part, its Frobenius norm, its
     trace, and its Hermiticity ``defect`` ``max|W − W†|``.
 
-    :meth:`of` reads them off an operator, or returns the record a built
-    product carries. The record of a tensor product is merged from its
-    factors' records in :mod:`procval.product`, row by row, and never holds
-    a coefficient tensor; its norm is the product of the factors' norms and
-    its ``defect`` a bound on the product's. An explicit term threshold reads
-    the coefficient tensor instead of the rows: ``tensor`` when :meth:`of`
-    extracted it, else one extraction of ``factors.op``, the operator a
-    built product makes from its kept factors. Records merged in a fold have
-    neither.
+    :meth:`of` reads them off an operator, over the Gell-Mann basis of each
+    subsystem, or returns the record a built product carries. The record of
+    a tensor product is merged from its factors' records in
+    :mod:`procval.product` and never holds a coefficient tensor: its rows
+    are the factors' rows multiplied out, over the factors' product basis
+    (:func:`hsbasis._merge_rows`), its norm is the product of the factors'
+    norms and its ``defect`` a bound on the product's. An explicit term
+    threshold reads the coefficient tensor instead of the rows, over the
+    Gell-Mann basis: ``tensor`` when :meth:`of` extracted it, else one
+    extraction of ``factors.op``, the operator a built product makes from
+    its kept factors. Records merged in a fold have neither.
     """
 
     layout: PartyLayout

@@ -14,17 +14,20 @@ to a :class:`~procval.process.FactorRecord` (term rows, extreme eigenvalues,
 Frobenius norm, trace), which :func:`~procval.process.is_valid_process` also
 reads, and its nontrivial terms are grouped once by tag pattern; the
 blocking-pair search and the two-party shortcut read those patterns. A
-product's record is merged from its factors' records: :mod:`procval.hsbasis`
-merges the term rows, subsystem by subsystem, and the eigenvalues, norm and
-trace multiply. A product's coefficients are bilinear in its factors', so
-its terms follow from the factors' kept terms (``docs/tolerances.md`` gives
-the pruning rule), and no merge holds a ``dim²`` coefficient tensor. A
-product built by :func:`tensor_product` carries its merged record and makes
-its operator only when ``op`` is read, so validating it extracts and
-eigendecomposes only its factors and, unless a factor is near its
-Hermiticity tolerance or the double range, never makes a ``dim²`` array.
-The references are the record-free ``ProcessMatrix(p.layout, p.op)`` and the
-term loops in ``tests/helpers.py`` and ``bench/reference.py``.
+product's record is merged from its factors' records: its terms are the
+factors' kept terms multiplied out, one per pair, in the factors' product
+basis (:func:`procval.hsbasis._merge_rows`), and the eigenvalues, norm and
+trace multiply. That is the paper's product rule itself, so a built
+product, a fold and the blocking-pair search give one verdict, and no
+merge holds a ``dim²`` coefficient tensor. A product built by
+:func:`tensor_product` carries its merged record and makes its operator
+only when ``op`` is read, so validating it extracts and eigendecomposes
+only its factors and, unless a factor is near its Hermiticity tolerance or
+the double range, never makes a ``dim²`` array. Its terms are listed in the
+factors' product basis; an explicit term threshold extracts the made
+operator instead, over the Gell-Mann basis of the merged dimensions, as does
+the record-free ``ProcessMatrix(p.layout, p.op)``. The references are that
+copy and the term loops in ``tests/helpers.py`` and ``bench/reference.py``.
 """
 
 from __future__ import annotations
@@ -219,7 +222,8 @@ def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
 
     The result carries its :class:`~procval.process.FactorRecord`, merged
     now from the factors' records, which check each factor for finiteness
-    and Hermiticity: the term rows, the extreme eigenvalues, the norm
+    and Hermiticity: the term rows (the factors' terms multiplied out, in
+    the factors' product basis), the extreme eigenvalues, the norm
     ``‖W‖_F ‖Z‖_F``, the trace summed over the product's diagonal in the
     order ``op.trace()`` sums it, and a bound on the Hermiticity defect. It
     keeps read-only copies of the factors' operators (a factor that is a
@@ -246,8 +250,9 @@ def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
 def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
                    layout: PartyLayout) -> FactorRecord:
     """Record of the tensor product of two records in the merged ``layout``,
-    without building the product operator: its term rows are merged from
-    the factors' rows by :mod:`procval.hsbasis`. Its entries may overflow;
+    without building the product operator: its term rows are the factors'
+    rows multiplied out, in the factors' product basis
+    (:func:`procval.hsbasis._merge_rows`). Its entries may overflow;
     the caller checks them. Its ``defect`` bounds the product's entrywise
     Hermiticity defect: ``|w_ij z_kl − conj(w_ji z_lk)|`` is at most
     ``δ_W |z_kl| + |w_ji| δ_Z``, each entry is at most the norm, and the
@@ -275,7 +280,10 @@ class ProductReport:
 
     ``blocking_pairs[k]`` is a pair of nontrivial terms (one per factor) whose
     merged term is a pure input on no party; ``per_party_cases[k]`` lists that
-    pair's unordered tag-code pair on each merged party. ``w_valid``/
+    pair's unordered tag-code pair on each merged party. A factor's terms are
+    over the Gell-Mann basis of its subsystems when it is extracted, and over
+    its own factors' product basis when it is a built product or a fold's
+    accumulated product (unless an explicit ``tol`` extracts it). ``w_valid``/
     ``z_valid`` record whether the inputs were themselves valid processes —
     the verdict only speaks for the term rule of the product when they are.
     """
@@ -381,10 +389,12 @@ def check_sequence(ps: Sequence[ProcessMatrix],
     No product operator is built or eigendecomposed. Each distinct input is
     reduced once to a :class:`~procval.process.FactorRecord`, and the
     accumulated product's record is merged row by row from its factors'
-    records, so ``w_valid`` of step k is decided from the factors alone. The
-    fold has no size cap: its cost follows the number of kept terms, not the
-    product's dimension. A fold whose merged record has a non-finite row,
-    extreme, norm or trace raises at that step.
+    records, so ``w_valid`` of step k is decided from the factors alone, and
+    the accumulated product's terms in step k's blocking pairs are its
+    factors' terms multiplied out, in their product basis. The fold has no
+    size cap: its cost follows the number of kept terms (the product of the
+    factors' counts), not the product's dimension. A fold whose merged
+    record has a non-finite row, extreme, norm or trace raises at that step.
     """
     if len(ps) < 2:
         raise ValueError("need at least two processes to form a product")

@@ -81,16 +81,6 @@ def cyclic_triple():
             ProcessMatrix(PartyLayout.of(("X", 2, 2), ("Y", 1, 1), ("Z", 2, 2)), yx))
 
 
-def assert_same_terms(got, want, tol=1e-12):
-    """Two lists of ``(term, signature)`` pairs, as ``is_valid_process``
-    reports forbidden terms, hold the same indices and signatures in the
-    same order, and coefficients within ``tol``: the check for terms merged
-    from factors' rows against terms extracted from a built operator."""
-    assert [(t.indices, sig) for t, sig in got] == [(t.indices, sig) for t, sig in want]
-    for (a, _), (b, _) in zip(got, want):
-        assert abs(a.coeff - b.coeff) <= tol
-
-
 def record_eigvalsh_dims(monkeypatch) -> list[int]:
     """Wrap ``numpy.linalg.eigvalsh`` for the rest of the test; the returned
     list collects the dimension of every matrix handed to it."""
@@ -105,40 +95,142 @@ def record_eigvalsh_dims(monkeypatch) -> list[int]:
     return dims
 
 
-def loop_blocking_pairs(w, z, pairing=None, tol=None):
-    """Term-by-term reference for the blocking-pair search: every pair of
-    nontrivial terms of the two expansions, tagged with ``classify_term``.
-    Returns ((first indices, second indices), per-party cases) per blocking
-    pair, in lexicographic order."""
+def product_terms(w_terms, z_terms, w_layout, z_layout, pairing=None):
+    """Term-by-term reference for a product's terms: every pair of a term of
+    ``w_terms`` and one of ``z_terms``, multiplied out. Merged subsystem
+    ``k``, made of subsystem ``p`` of the first factor and ``q`` of the
+    second, takes the index ``i * d_q**2 + j`` of ``s_i x s_j`` in the
+    factors' product basis, and the coefficient is ``c_w * c_z``. In
+    lexicographic order."""
+    from procval import HSTerm, PartyPairing
+
+    if pairing is None:
+        pairing = PartyPairing.positional(w_layout, z_layout)
+    merged = []
+    for wn, zn, _ in pairing.pairs:
+        i, j = w_layout.party_index(wn), z_layout.party_index(zn)
+        merged += [(2 * i, 2 * j), (2 * i + 1, 2 * j + 1)]
+    z_dims = z_layout.subsystem_dims()
+    out = [HSTerm(tuple(tw.indices[p] * z_dims[q] ** 2 + tz.indices[q] for p, q in merged),
+                  tw.coeff * tz.coeff)
+           for tw in w_terms for tz in z_terms]
+    return sorted(out, key=lambda t: t.indices)
+
+
+def _factors(p):
+    """The kept factors of a built product that carries them, else None."""
+    return p._record.factors if p._record is not None else None
+
+
+def expansion(p, tol=None):
+    """Term-by-term reference for the terms procval reads off ``p``: the
+    extraction ``p.terms(tol)``, except that a built product carrying its
+    factors lists, at the default threshold, its factors' expansions
+    multiplied out (:func:`product_terms`)."""
+    f = _factors(p)
+    if f is None or tol is not None:
+        return p.terms(tol=tol)
+    return product_terms(expansion(f.w), expansion(f.z), f.w.layout, f.z.layout, f.pairing)
+
+
+def basis_element(p, k: int, i: int) -> np.ndarray:
+    """The element with index ``i`` on subsystem ``k`` of the basis that
+    ``p``'s terms are listed in: the Gell-Mann element for an extracted
+    operator, and for a built product ``s_a x s_b`` of its factors' own
+    elements, where ``i = a * d_q**2 + b``."""
+    from procval import make_basis
+
+    f = _factors(p)
+    if f is None:
+        return make_basis(p.layout.subsystem_dims()[k]).ops[i]
+    wn, zn, _ = f.pairing.pairs[k // 2]
+    kw = 2 * f.w.layout.party_index(wn) + k % 2
+    kz = 2 * f.z.layout.party_index(zn) + k % 2
+    dq2 = f.z.layout.subsystem_dims()[kz] ** 2
+    return np.kron(basis_element(f.w, kw, i // dq2), basis_element(f.z, kz, i % dq2))
+
+
+def rows_operator(p) -> np.ndarray:
+    """``sum c * (s_I)`` over the term rows of ``p``'s record, each basis
+    element made term by term with :func:`basis_element`."""
+    import functools
+
+    from procval.process import FactorRecord
+
+    rec = FactorRecord.of(p)
+    total = np.zeros((p.dim, p.dim), dtype=np.complex128)
+    for idx, c in zip(rec.indices.tolist(), rec.values):
+        total += c * functools.reduce(
+            np.kron, [basis_element(p, k, i) for k, i in enumerate(idx)], np.ones((1, 1)))
+    return total
+
+
+def term_blocking_pairs(w_terms, z_terms, w_layout, z_layout, pairing=None):
+    """Term-by-term reference for the blocking-pair search on two term
+    lists: every pair of nontrivial terms, tagged with ``classify_term``.
+    Returns ((first term, second term), per-party cases) per blocking pair,
+    in lexicographic index order."""
     from procval import PartyPairing, PartyTag, classify_term
 
     if pairing is None:
-        pairing = PartyPairing.positional(w.layout, z.layout)
-    w_idx = [w.layout.party_index(p[0]) for p in pairing.pairs]
-    z_idx = [z.layout.party_index(p[1]) for p in pairing.pairs]
+        pairing = PartyPairing.positional(w_layout, z_layout)
+    w_idx = [w_layout.party_index(p[0]) for p in pairing.pairs]
+    z_idx = [z_layout.party_index(p[1]) for p in pairing.pairs]
     out = []
-    for tw in w.terms(tol=tol):
-        sw = classify_term(tw, w.layout)
-        for tz in z.terms(tol=tol):
-            sz = classify_term(tz, z.layout)
+    for tw in w_terms:
+        sw = classify_term(tw, w_layout)
+        for tz in z_terms:
+            sz = classify_term(tz, z_layout)
             if sw.is_trivial() or sz.is_trivial():
                 continue
             tags = [(sw.tags[i], sz.tags[j]) for i, j in zip(w_idx, z_idx)]
             if all(a | b != PartyTag.IN for a, b in tags):
                 cases = tuple(tuple(sorted((a.code, b.code), key=("0", "1", "2", "12").index))
                               for a, b in tags)
-                out.append(((tw.indices, tz.indices), cases))
-    return sorted(out)
+                out.append(((tw, tz), cases))
+    return sorted(out, key=lambda x: (x[0][0].indices, x[0][1].indices))
+
+
+def loop_blocking_pairs(w, z, pairing=None, tol=None):
+    """Term-by-term reference for the blocking-pair search: every pair of
+    nontrivial terms of the two processes' expansions (:func:`expansion`).
+    Returns ((first
+    indices, second indices), per-party cases) per blocking pair, in
+    lexicographic order."""
+    return [((tw.indices, tz.indices), cases) for (tw, tz), cases in term_blocking_pairs(
+        expansion(w, tol), expansion(z, tol), w.layout, z.layout, pairing)]
+
+
+def fold_blocking_pairs(ps, pairings=None):
+    """Term-by-term reference for the listings of ``check_sequence``: per
+    step, :func:`term_blocking_pairs` of the accumulated product's terms
+    (the expansions of the factors so far, multiplied out) and the next
+    factor's. No product is built."""
+    from procval import PartyPairing
+    from procval.product import combined_layout
+
+    terms, layout = expansion(ps[0]), ps[0].layout
+    steps = []
+    for k, nxt in enumerate(ps[1:]):
+        pairing = pairings[k] if pairings is not None else None
+        pairing = pairing or PartyPairing.positional(layout, nxt.layout)
+        nxt_terms = expansion(nxt)
+        steps.append(term_blocking_pairs(terms, nxt_terms, layout, nxt.layout, pairing))
+        if k + 2 < len(ps):
+            terms = product_terms(terms, nxt_terms, layout, nxt.layout, pairing)
+            layout = combined_layout(layout, nxt.layout, pairing)
+    return steps
 
 
 def loop_forbidden_terms(w, tol=None):
-    """Term-by-term reference for the term rule: each term of the expansion
-    that ``classify_term`` does not allow, with its signature, in
-    lexicographic order, as ``is_valid_process`` reports them."""
+    """Term-by-term reference for the term rule: each term of the
+    :func:`expansion` that ``classify_term`` does not allow, with its
+    signature, in lexicographic order, as ``is_valid_process`` reports
+    them."""
     from procval import classify_term
 
     out = []
-    for term in w.terms(tol=tol):
+    for term in expansion(w, tol):
         sig = classify_term(term, w.layout)
         if not sig.is_allowed():
             out.append((term, sig))

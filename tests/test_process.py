@@ -32,7 +32,6 @@ from procval.hsbasis import HSTerm
 from helpers import (
     BASE_NAMES,
     QUBIT_BIPARTITE,
-    assert_same_terms,
     bipartite_qubit_suite,
     loop_forbidden_terms,
     suite_pairs,
@@ -186,17 +185,20 @@ class TestIsValidProcess:
 
 class TestForbiddenTerms:
     """``is_valid_process`` lists the same forbidden terms, with the same
-    coefficients, signatures and order, as the term-by-term reference, bit
-    for bit on operators whose coefficients it extracts: plain operators and
-    the record-free copies of built products. A built product reads the rows
-    merged from its factors, so its coefficients agree within 1e-12."""
+    coefficients, signatures and order, as the term-by-term reference,
+    bit for bit. Plain operators and the record-free copies of built
+    products are extracted, over the Gell-Mann basis; a built product reads
+    its factors' terms multiplied out, over their product basis, and the
+    reference multiplies the factors' expansions out the same way. Both
+    give the record-free copy's verdict."""
 
     @staticmethod
     def assert_built_matches_loop(p):
         copy = ProcessMatrix(p.layout, p.op)
-        want = loop_forbidden_terms(copy)
-        assert is_valid_process(copy).forbidden_terms == want
-        assert_same_terms(is_valid_process(p).forbidden_terms, want)
+        assert is_valid_process(copy).forbidden_terms == loop_forbidden_terms(copy)
+        got = is_valid_process(p)
+        assert got.forbidden_terms == loop_forbidden_terms(p)
+        assert got.verdict == is_valid_process(copy).verdict
 
     def test_gallery_pair_products(self):
         for a, b in itertools.product(BASE_NAMES, repeat=2):

@@ -37,13 +37,17 @@ from procval.product import _built, _merge_records, _merged_subsystems, _resolve
 
 from helpers import (
     BASE_NAMES,
-    assert_same_terms,
     bipartite_qubit_suite,
     cyclic_triple,
     dense_product,
+    expansion,
+    fold_blocking_pairs,
     loop_blocking_pairs,
+    loop_forbidden_terms,
+    product_terms,
     random_hermitian,
     record_eigvalsh_dims,
+    rows_operator,
     suite_pairs,
 )
 
@@ -359,35 +363,60 @@ class TestCheckSequence:
 
     def test_five_twoway_factors(self):
         """The fold of five ``twoway-d2`` merges a record of dim 65536 before
-        its last step, and each step adds blocking pairs."""
+        its last step, and each step adds blocking pairs: the accumulated
+        product holds ``3**k`` terms, its factors' three multiplied out."""
         w = twoway_channel_process(2)
         report = check_sequence([w] * 5)
         assert report.first_invalid_step == 0
-        assert [len(step.blocking_pairs) for step in report.steps] == [2, 130, 3386, 67730]
+        assert [len(step.blocking_pairs) for step in report.steps] == [2, 10, 38, 130]
         assert report.steps[0].w_valid and not report.steps[1].w_valid
+        assert_listings_match(report, [w] * 5)
+
+    def test_eight_twoway_factors(self):
+        """``[twoway-d2]*8`` is decided: its accumulated product before the
+        last step (dim 16**7) holds 3**7 terms, and every step lists the
+        reference's blocking pairs."""
+        w = twoway_channel_process(2)
+        report = check_sequence([w] * 8)
+        assert report.verdict is False and report.first_invalid_step == 0
+        assert [len(step.blocking_pairs) for step in report.steps] == [
+            2, 10, 38, 130, 422, 1330, 4118]
+        assert report.steps[0].w_valid
+        assert not any(step.w_valid for step in report.steps[1:])
+        assert all(step.z_valid for step in report.steps)
+        assert_listings_match(report, [w] * 8)
+
+
+def assert_listings_match(report, ps, pairings=None):
+    """Each step of ``report`` lists the blocking pairs, coefficients and
+    per-party cases of the term-by-term reference ``fold_blocking_pairs``,
+    bit for bit, and its verdict says whether that list is empty."""
+    want = fold_blocking_pairs(ps, pairings)
+    assert len(report.steps) == len(want)
+    for step, ref in zip(report.steps, want):
+        assert list(zip(step.blocking_pairs, step.per_party_cases)) == ref
+        assert step.verdict == (not ref)
 
 
 def assert_fold_matches_dense(ps, pairings=None, built=None):
-    """Each step of ``check_sequence`` equals the blocking-pair search on the
-    dense accumulated product, built with ``dense_product``, and its
-    ``w_valid`` equals ``is_valid_process`` of that operator. ``built`` maps
-    the factors of a prefix (by identity) to its dense product and verdict,
-    so positional folds that share prefixes build each product once."""
+    """Each step of ``check_sequence`` lists the reference's blocking pairs
+    (``assert_listings_match``: the accumulated product's terms are its
+    factors' terms multiplied out), and its verdict, layout and validity
+    flags equal those of the blocking-pair search on the dense accumulated
+    product, built with ``dense_product`` and extracted; ``w_valid`` equals
+    ``is_valid_process`` of that operator. ``built`` maps the factors of a
+    prefix (by identity) to its dense product and verdict, so positional
+    folds that share prefixes build each product once."""
     built = {} if built is None else built
     report = check_sequence(ps, pairings=pairings)
     assert len(report.steps) == len(ps) - 1
+    assert_listings_match(report, ps, pairings)
     acc, acc_valid = ps[0], is_valid_process(ps[0]).verdict
     first_bad = None
     for k, (step, nxt) in enumerate(zip(report.steps, ps[1:])):
         pairing = pairings[k] if pairings is not None else None
         dense = find_blocking_pairs(acc, nxt, pairing=pairing)
         assert step.verdict == dense.verdict
-        assert ([(a.indices, b.indices) for a, b in step.blocking_pairs]
-                == [(a.indices, b.indices) for a, b in dense.blocking_pairs])
-        for got, want in zip(step.blocking_pairs, dense.blocking_pairs):
-            for a, b in zip(got, want):
-                assert abs(a.coeff - b.coeff) <= 1e-12
-        assert step.per_party_cases == dense.per_party_cases
         assert step.layout == dense.layout
         assert step.w_valid == dense.w_valid == acc_valid
         assert step.z_valid == dense.z_valid
@@ -462,10 +491,14 @@ class TestCyclicTriple:
             assert report.verdict is True and not report.blocking_pairs
 
     def test_every_order_fails_at_the_second_step(self):
+        """Step 1 lists one blocking pair, the loop: the term of the first
+        two factors that carries both their signalling terms, against the
+        third factor's signalling term."""
         for order in itertools.permutations(cyclic_triple()):
             report = check_sequence(list(order))
             assert report.verdict is False and report.first_invalid_step == 1
-            assert len(report.steps[1].blocking_pairs) == 6
+            assert len(report.steps[1].blocking_pairs) == 1
+            assert_listings_match(report, list(order))
 
     def test_fold_matches_dense(self):
         assert_fold_matches_dense(list(cyclic_triple()))
@@ -502,16 +535,16 @@ class TestFactorRecord:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(_factor_pairs())
     def test_merge_equals_built_product(self, case):
-        """Merged rows are the rows of the built operator's coefficients at
-        the default threshold: the same indices, coefficients within 1e-12.
-        The built product carries those rows and the merged extremes."""
+        """Merged rows are the factors' rows multiplied out: the rows of the
+        term-by-term reference ``product_terms``, bit for bit. The built
+        product carries those rows and the merged extremes, and its verdict
+        is that of its record-free copy, which is extracted."""
         w, z, pairing = case
         built = tensor_product(w, z, pairing=pairing)
         rec = _merge_records(FactorRecord.of(w), FactorRecord.of(z), pairing, built.layout)
-        want_idx, want_val = hsbasis._term_rows(
-            hsbasis.coefficient_tensor(built.op, built.layout.subsystem_dims()), None)
-        assert np.array_equal(rec.indices, want_idx)
-        assert np.abs(rec.values - want_val).max(initial=0.0) <= 1e-12
+        want = product_terms(w.terms(), z.terms(), w.layout, z.layout, pairing)
+        assert list(map(tuple, rec.indices.tolist())) == [t.indices for t in want]
+        assert rec.values.tolist() == [t.coeff for t in want]
         assert rec.tensor is None and rec.factors is None
         lam = np.linalg.eigvalsh(built.op)
         scale = max(1.0, float(np.abs(lam).max()))
@@ -519,7 +552,7 @@ class TestFactorRecord:
         assert abs(rec.lam_max - lam[-1]) <= 1e-12 * scale
         assert rec.norm == pytest.approx(np.linalg.norm(built.op), rel=1e-12)
         assert rec.trace == pytest.approx(built.op.trace().real, rel=1e-12, abs=1e-12)
-        assert rec.valid == is_valid_process(built).verdict
+        assert rec.valid == is_valid_process(ProcessMatrix(built.layout, built.op)).verdict
         # The built product's own record reads the same rows and extremes.
         built_rec = FactorRecord.of(built)
         assert (built_rec.lam_min, built_rec.lam_max) == (rec.lam_min, rec.lam_max)
@@ -567,8 +600,10 @@ class TestFactorRecord:
 class TestMergedPruning:
     """The pruning rule of merged rows (``docs/tolerances.md``): each
     factor's rows are pruned at its own threshold before the merge, and the
-    merged rows at ``1e-9 * max(1, max |C|)`` of the product's coefficients,
-    the rule the dense path applies to the built operator."""
+    merged rows, one per pair of kept rows, are not pruned again, however
+    small their coefficients. The dense path prunes the built operator's
+    own coefficients, over the Gell-Mann basis, at the product's threshold,
+    so a product of two small terms is kept where the dense path drops it."""
 
     LAYOUT = PartyLayout.of(("A", 2, 2))
 
@@ -582,46 +617,68 @@ class TestMergedPruning:
         built = tensor_product(w, z)
         rec = _merge_records(FactorRecord.of(w), FactorRecord.of(z),
                              PartyPairing.positional(w.layout, z.layout), built.layout)
-        dense = hsbasis._term_rows(
-            hsbasis.coefficient_tensor(built.op, built.layout.subsystem_dims()), None)
-        return rec, dense
+        want = product_terms(w.terms(), z.terms(), w.layout, z.layout)
+        assert list(map(tuple, rec.indices.tolist())) == [t.indices for t in want]
+        assert rec.values.tolist() == [t.coeff for t in want]
+        dense = ProcessMatrix(built.layout, built.op)
+        assert is_valid_process(built).verdict == is_valid_process(dense).verdict
+        return rec, hsbasis._term_rows(
+            hsbasis.coefficient_tensor(dense.op, dense.layout.subsystem_dims()), None)
 
-    def test_product_of_two_small_terms_is_pruned(self):
-        """Two kept factor terms of 1e-6 merge into terms of about 1e-12,
-        below the merged threshold 1e-9; each against the other factor's
-        identity gives two kept terms of 0.5e-6/sqrt(2)."""
+    def test_product_of_two_small_terms_is_kept(self):
+        """Two kept factor terms of 1e-6 multiply into a row of 1e-12, below
+        the product's threshold 1e-9, and it is kept; each against the other
+        factor's identity gives a row of 0.5e-6. The dense extraction drops
+        the 1e-12 term and spreads each 0.5e-6 term over two Gell-Mann
+        terms of 0.5e-6/sqrt(2)."""
         w = self.factor(0.5, 1e-6)
         assert len(FactorRecord.of(w).values) == 2
-        rec, (indices, values) = self.merged_and_dense(w, w)
-        assert np.array_equal(rec.indices, indices)
-        assert np.abs(rec.values - values).max() <= 1e-12
-        assert len(rec.values) == 5
-        assert np.abs(rec.values[1:]) == pytest.approx([0.5e-6 / np.sqrt(2)] * 4, rel=1e-9)
+        rec, (_, values) = self.merged_and_dense(w, w)
+        assert rec.indices.tolist() == [[0, 0], [1, 0], [4, 0], [5, 0]]
+        assert rec.values == pytest.approx([0.25, 0.5e-6, 0.5e-6, 1e-12], rel=1e-9)
+        assert len(values) == 5
+        assert np.abs(values[1:]) == pytest.approx([0.5e-6 / np.sqrt(2)] * 4, rel=1e-9)
 
     @pytest.mark.parametrize("factor, kept", [(0.5, False), (2.0, True)])
     def test_factor_term_at_its_own_threshold(self, factor, kept):
         """A factor term at 0.5x its threshold (1e-9) never reaches the
         merge; at 2x it is kept and, against an identity coefficient of 1,
-        merges into two terms of 2e-9/sqrt(2), above the merged threshold."""
+        merges into one row of 2e-9 (two Gell-Mann terms of 2e-9/sqrt(2) in
+        the dense extraction, also above the product's threshold)."""
         w = self.factor(0.5, factor * 1e-9)
         z = self.factor(1.0, 0.0)
         assert len(FactorRecord.of(w).values) == (2 if kept else 1)
-        rec, (indices, values) = self.merged_and_dense(w, z)
-        assert np.array_equal(rec.indices, indices)
-        assert np.abs(rec.values - values).max() <= 1e-12
-        assert len(rec.values) == (3 if kept else 1)
+        rec, (_, values) = self.merged_and_dense(w, z)
+        assert len(rec.values) == (2 if kept else 1)
+        assert len(values) == (3 if kept else 1)
 
-    def test_rows_grouped_past_int64_keys(self):
-        """Rows whose index space passes 2**63 are grouped column by column,
-        with the same groups and order as packed keys give."""
-        rng = np.random.default_rng(0)
-        cols = [rng.integers(0, 3, size=300) for _ in range(4)]
-        packed = hsbasis._group_rows(cols, [3] * 4)
-        wide = hsbasis._group_rows(cols, [3, 2**40, 2**40, 3])
-        for a, b in zip(packed, wide):
-            assert np.array_equal(a, b)
-        rows = np.stack(cols, axis=1)[packed[0]]
-        assert [tuple(r) for r in rows] == sorted({tuple(r) for r in np.stack(cols, axis=1)})
+    def test_small_blocking_terms_invalidate_every_product_answer(self):
+        """On X(2->2)Y(2->2), ``w = I/4 + eps s(0,3,3,0)`` and
+        ``z = I/4 + eps s(3,0,0,3)`` at eps = 1e-6 are valid, and their two
+        small signalling terms block: their product ``eps**2 s(3,12,12,3)``
+        is a pure input on no party. The pair search, the two-party
+        shortcut, the built product and a fold all say invalid. The
+        record-free copy prunes the 1e-12 term from its Gell-Mann expansion
+        at its threshold 1e-9 and says valid: the documented difference."""
+        layout = PartyLayout.of(("X", 2, 2), ("Y", 2, 2))
+        dims, eps = layout.subsystem_dims(), 1e-6
+        w, z = (ProcessMatrix(layout, np.eye(16) / 4 + hsbasis.reconstruct(
+            [HSTerm(t, eps)], dims)) for t in ((0, 3, 3, 0), (3, 0, 0, 3)))
+        maxmix = ProcessMatrix(layout, np.eye(16) / 4)
+        assert all(is_valid_process(p).verdict for p in (w, z, maxmix))
+        report = find_blocking_pairs(w, z)
+        assert report.verdict is False and len(report.blocking_pairs) == 1
+        assert two_party_product_invalid(w, z) is True
+        assert check_sequence([w, z, maxmix]).steps[1].w_valid is False
+        p = tensor_product(w, z)
+        got = is_valid_process(p)
+        assert got.verdict is False
+        ((term, sig),) = got.forbidden_terms
+        assert term.indices == (3, 12, 12, 3)
+        assert term.coeff == pytest.approx(eps ** 2, rel=1e-6)
+        assert sig.codes == ("12", "12")
+        assert got.forbidden_terms == loop_forbidden_terms(p)
+        assert is_valid_process(ProcessMatrix(p.layout, p.op)).verdict is True
 
     def test_merge_past_its_row_budget_is_refused(self):
         """A merge step that would hold more than ``MAX_MERGE_ENTRIES``
@@ -684,9 +741,10 @@ class TestBuiltProductSpectrum:
     """A ``tensor_product`` result carries the record merged from its
     factors' records when it is built. Its verdict, trace defect and
     forbidden-term indices are those of the record-free copy
-    ``dense_product``, whose operator is eigendecomposed and extracted;
-    coefficients agree within 1e-12. Eigendecompositions are counted over
-    build and validation."""
+    ``dense_product``, whose operator is eigendecomposed and extracted. Its
+    forbidden terms are the factors' terms multiplied out, as the
+    term-by-term reference lists them, bit for bit. Eigendecompositions are
+    counted over build and validation."""
 
     @staticmethod
     def assert_matches_dense(p):
@@ -698,7 +756,7 @@ class TestBuiltProductSpectrum:
         assert abs(rec.lam_max - lam_max) <= tol
         got, want = is_valid_process(p), is_valid_process(dense)
         assert got.verdict == want.verdict
-        assert_same_terms(got.forbidden_terms, want.forbidden_terms)
+        assert got.forbidden_terms == loop_forbidden_terms(p)
         assert got.trace_defect == want.trace_defect
         assert abs(got.psd_defect - want.psd_defect) <= tol
 
@@ -791,9 +849,9 @@ class TestBuiltProductSpectrum:
     @staticmethod
     def assert_raises_or_matches_dense(p):
         """``is_valid_process(p)`` raises, with the same message, exactly when
-        the record-free copy raises; otherwise it gives the same verdict,
-        forbidden terms and trace defect, and a PSD defect within 1e-12 of
-        the norm. Returns how ``p`` was decided: "lazy" from its record
+        the record-free copy raises; otherwise it gives the same verdict and
+        trace defect, and a PSD defect within 1e-12 of the norm, and it lists
+        the forbidden terms of the term-by-term reference. Returns how ``p`` was decided: "lazy" from its record
         alone, "dense" from its record after its made operator was checked,
         "none" with no record; "-raises" is added when both raise."""
         got = _outcome(p)
@@ -803,7 +861,7 @@ class TestBuiltProductSpectrum:
             assert got == want
             return path + "-raises"
         assert got.verdict == want.verdict
-        assert_same_terms(got.forbidden_terms, want.forbidden_terms)
+        assert got.forbidden_terms == loop_forbidden_terms(p)
         assert got.trace_defect == want.trace_defect
         assert abs(got.psd_defect - want.psd_defect) <= 1e-12 * linalg.frobenius(p.op)
         return path
@@ -954,6 +1012,51 @@ class TestBuiltOperator:
             self.assert_bits(*(ProcessMatrix(THREE_PARTIES, x) for x in g), ROTATED)
 
 
+class TestProductBasis:
+    """A built product's rows name elements of its factors' product basis:
+    on merged subsystem ``k``, index ``i * d_q**2 + j`` is ``s_i x s_j``,
+    each factor's element in its own basis. Summed term by term, the rows
+    make the product's operator within 1e-12 of its norm, and they are the
+    term-by-term reference's terms, bit for bit."""
+
+    @staticmethod
+    def assert_rows_make_operator(p):
+        rec = FactorRecord.of(p)
+        want = expansion(p)
+        assert list(map(tuple, rec.indices.tolist())) == [t.indices for t in want]
+        assert rec.values.tolist() == [t.coeff for t in want]
+        assert np.linalg.norm(rows_operator(p) - p.op) <= 1e-12 * np.linalg.norm(p.op)
+
+    def test_crossed_pairings(self):
+        swapped = PartyPairing((("Y", "X", "B"), ("X", "Y", "A")))
+        for a, b in (("twoway-d2", "oneway-xy-d2"), ("state-bell-d2", "oneway-yx-d2")):
+            w, z = gallery_entry(a).process, gallery_entry(b).process
+            for pairing in (None, swapped):
+                self.assert_rows_make_operator(tensor_product(w, z, pairing=pairing))
+        for seed in range(2):
+            w = random_valid_process(THREE_PARTIES, seed=seed, n_terms=6)
+            z = random_valid_process(THREE_PARTIES, seed=20 + seed, n_terms=6)
+            self.assert_rows_make_operator(tensor_product(w, z, pairing=ROTATED))
+
+    def test_one_dimensional_ends(self):
+        chan, prep = prep_measure_pair()
+        crossed = PartyPairing((("M", "P", "A"), ("P", "M", "B")))
+        for w, z in itertools.product((chan, prep), repeat=2):
+            self.assert_rows_make_operator(tensor_product(w, z, pairing=crossed))
+
+    def test_nested_products(self):
+        """Nested on either side, under crossed pairings at both levels."""
+        h = twoway_channel_process(2)
+        chan, prep = prep_measure_pair()
+        crossed = PartyPairing((("M", "P", "A"), ("P", "M", "B")))
+        inner = tensor_product(chan, prep, pairing=crossed)
+        self.assert_rows_make_operator(tensor_product(inner, chan, pairing=PartyPairing(
+            (("A", "M", "C"), ("B", "P", "D")))))
+        self.assert_rows_make_operator(tensor_product(prep, inner, pairing=PartyPairing(
+            (("M", "A", "C"), ("P", "B", "D")))))
+        self.assert_rows_make_operator(tensor_product(tensor_product(h, chan), prep))
+
+
 def count_builds(monkeypatch) -> list[int]:
     """Wrap ``product._built`` for the rest of the test; the returned list
     collects the dimension of every operator it makes."""
@@ -984,7 +1087,8 @@ class TestLazyOperator:
         assert p.dim == 6561 and builds == []
         assert peak < 64 * 2 ** 20, peak
         assert report.verdict is False and report.verdict == find_blocking_pairs(w, w).verdict
-        assert report.trace_defect == 0.0 and len(report.forbidden_terms) == 1740
+        assert report.trace_defect == 0.0 and len(report.forbidden_terms) == 8
+        assert report.forbidden_terms == loop_forbidden_terms(p) and builds == []
 
     def test_nested_products_never_build(self, monkeypatch):
         """The cyclic triple, built as ``(x y) z`` (dim 4096), is decided with
@@ -994,7 +1098,8 @@ class TestLazyOperator:
         builds = count_builds(monkeypatch)
         xy = tensor_product(x, y)
         p = tensor_product(xy, z)
-        assert len(is_valid_process(p).forbidden_terms) == 216
+        forbidden = is_valid_process(p).forbidden_terms
+        assert len(forbidden) == 1 and forbidden == loop_forbidden_terms(p)
         assert find_blocking_pairs(xy, z).verdict is False
         assert check_sequence([xy, z]).first_invalid_step == 0
         assert signalling_directions(xy, "X", "Y") and not signalling_directions(xy, "Y", "X")
