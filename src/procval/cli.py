@@ -21,6 +21,7 @@ from .gallery import gallery_entry, gallery_names
 from .io_format import ProcmatError, load_path, serialize
 from .oracle import normalization_oracle
 from .process import (
+    _SAFE_NORM,
     FactorRecord,
     PartyReduction,
     Tolerances,
@@ -28,7 +29,7 @@ from .process import (
     is_valid_process,
     reduced_process,
 )
-from .product import PartyPairing, _built, _closes_loop, _report, _resolve_pairing
+from .product import PartyPairing, _closes_loop, _pattern_check, _report, _resolve_pairing
 
 DEFAULT_ORACLE_THRESHOLD = 1e-6
 
@@ -146,6 +147,9 @@ def cmd_product(args) -> int:
     # find_blocking_pairs, keeping each input's record for the two-party shortcut.
     resolved = _resolve_pairing(w.layout, z.layout, pairing)
     rw, rz = FactorRecord.of(w), FactorRecord.of(z)
+    if not rw.norm * rz.norm <= _SAFE_NORM:
+        raise ValueError(f"the product overflows: its Frobenius norm {rw.norm * rz.norm:.6g} "
+                         f"is above {_SAFE_NORM:g}")
     report = _report(rw, rz, resolved, tol=None)
     lines = [f"product {args.file_w} x {args.file_z}", _layout_line(report.layout)]
     if not report.w_valid or not report.z_valid:
@@ -181,16 +185,15 @@ def cmd_product(args) -> int:
         payload["two_party_check_invalid"] = loop
         lines.append(f"two-party signalling check: product {'invalid' if loop else 'valid'}")
 
-    if report.layout.dim <= args.max_direct_dim:
-        # The built operator carries no rows or extremes, so it is extracted
-        # and eigendecomposed: the cross-check shares no shortcut with the
-        # verdict above.
-        direct = is_valid_process(_built(w, z, resolved, report.layout))
-        payload["direct_verdict"] = direct.verdict
-        agree = direct.verdict == report.verdict
-        payload["cross_check"] = "agree" if agree else "disagree"
-        lines.append(f"direct validation of the built product: "
-                     f"{'valid' if direct.verdict else 'invalid'} ({payload['cross_check']})")
+    # Cross-check at factor size: the factors' pattern weights, which share
+    # no basis and no term row with the verdict above.
+    pattern_verdict, forbidden_weight = _pattern_check(w, z, rw, rz, resolved)
+    payload["pattern_verdict"] = pattern_verdict
+    payload["forbidden_weight"] = forbidden_weight
+    payload["cross_check"] = "agree" if pattern_verdict == report.verdict else "disagree"
+    lines.append(f"pattern-weight check of the product: "
+                 f"{'valid' if pattern_verdict else 'invalid'}, forbidden weight "
+                 f"{forbidden_weight:.6g} ({payload['cross_check']})")
 
     lines.append(f"verdict: {'VALID' if report.verdict else 'INVALID'}")
     payload["exit_code"] = 0 if report.verdict else 1
@@ -319,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_z")
     p.add_argument("--pairing", default=None,
                    help="comma list WPARTY=ZPARTY[:NAME]; default pairs by position")
-    p.add_argument("--max-direct-dim", type=int, default=4096,
-                   help="cross-check against dense validation up to this dimension")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_product)
 

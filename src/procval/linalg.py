@@ -187,6 +187,54 @@ def _hermitian_extremes(a: np.ndarray) -> tuple[float, float]:
     return float(lam[0]), float(lam[-1])
 
 
+def _pattern_weights(m, dims: Sequence[int]) -> np.ndarray:
+    """Squared Frobenius norm of each pattern part of ``m``, computed without
+    an operator basis. Split ``m`` subsystem by subsystem into its trace
+    part ``tr_k(m) ⊗ I/d_k`` and the traceless remainder; entry
+    ``[b_1, ..., b_n]`` is ``‖m_b‖_F²`` of the part that is a trace part on
+    each subsystem with ``b_k = 0`` and traceless on each with ``b_k = 1``.
+    A subsystem of dimension 1 has no traceless part, so its axis has size
+    1. The parts are orthogonal, so the entries sum to ``‖m‖_F²``; in any
+    orthogonal basis with the identity first and ``tr(s_i s_j) = d δ_ij``,
+    entry ``b`` is ``dim`` times the sum of the squared coefficients of the
+    terms that are not the identity exactly where ``b_k = 1``.
+
+    The split runs depth first on one copy of ``m``: each trace part is a
+    new array ``d_k²`` times smaller, and each remainder is made in place,
+    so the peak is about ``4/3`` of one copy."""
+    a = as_operator(m)
+    dims = _check_shape(a, dims)
+    n = len(dims)
+    # One (row, column) axis pair per subsystem, in order; the copy is split in place.
+    x = a.reshape(dims + dims).transpose([ax for k in range(n) for ax in (k, k + n)]).copy()
+    out = np.zeros([2 if d > 1 else 1 for d in dims])
+    _split(x.reshape(1, -1), dims, (), 1.0, out)
+    return out
+
+
+def _split(x: np.ndarray, dims: tuple[int, ...], index: tuple[int, ...], scale: float,
+           out: np.ndarray) -> None:
+    """Write into ``out`` the weights of the parts of ``scale``-weighted
+    ``x`` below pattern prefix ``index``: ``x`` holds the processed
+    subsystems' axes flattened first, then one (row, column) pair per
+    remaining subsystem, and is overwritten."""
+    k = len(index)
+    if k == len(dims):
+        out[index] = scale * np.vdot(x, x).real
+        return
+    d = dims[k]
+    if d == 1:
+        _split(x, dims, index + (0,), scale, out)
+        return
+    y = x.reshape(x.shape[0], d * d, -1)
+    diag = y[:, :: d + 1]
+    trace = diag.sum(axis=1)
+    diag -= trace[:, None, :] / d
+    # ‖T ⊗ I/d‖² = ‖T‖²/d.
+    _split(trace, dims, index + (0,), scale / d, out)
+    _split(y.reshape(x.shape[0] * d * d, -1), dims, index + (1,), scale, out)
+
+
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of the Hermitian part (M + M^dagger)/2.
 

@@ -32,13 +32,14 @@ copy and the term loops in ``tests/helpers.py`` and ``bench/reference.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from . import hsbasis
+from . import hsbasis, linalg
 from .hsbasis import HSTerm
 from .process import (
     _PRODUCT_ROUNDING,
@@ -366,6 +367,93 @@ def _closes_loop(w_patterns: tuple, z_patterns: tuple) -> bool:
     """:func:`two_party_product_invalid` from the factors' tag patterns."""
     dw, dz = _signalling(w_patterns), _signalling(z_patterns)
     return bool(dw.any() and dz.any() and (dw | dz)[[0, 1], [1, 0]].all())
+
+
+# A pattern of an operator of dimension D is present when its weight exceeds
+# _PRESENT * max(D, largest pattern weight): in coefficient units, when the
+# root of its squared coefficients' sum exceeds 1e-9 * max(1, the largest
+# such root) (docs/tolerances.md, *The pattern-weight cross-check*).
+_PRESENT = 1e-18
+
+
+def _ldexp(v: float, k: int) -> float:
+    """``v * 2**k``, infinite (with the sign of ``v``) past the double range."""
+    try:
+        return math.ldexp(v, k)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
+@dataclass(frozen=True)
+class _Weights:
+    """The pattern weights of one factor scaled by ``2**-exp``, so that its
+    largest entry lies in ``[1/2, 1)`` and no weight overflows
+    (:func:`linalg._pattern_weights` of the scaled operator), and which of
+    them are present."""
+
+    weights: np.ndarray
+    present: np.ndarray
+    exp: int
+
+    @staticmethod
+    def of(p: ProcessMatrix) -> "_Weights":
+        # A tiny operator is scaled by at most 2**1000; its weights then all
+        # lie below the floor, which is capped where it passes every weight.
+        exp = max(math.frexp(float(np.abs(p.op).max()))[1], -1000)
+        weights = linalg._pattern_weights(p.op * math.ldexp(1.0, -exp),
+                                          p.layout.subsystem_dims())
+        floor = math.ldexp(_PRESENT * p.dim, min(-2 * exp, 1000))
+        return _Weights(weights=weights,
+                        present=weights > max(floor, _PRESENT * weights.max()),
+                        exp=exp)
+
+
+def _merge_weights(x: np.ndarray, y: np.ndarray, w_layout: PartyLayout,
+                   z_layout: PartyLayout, pairing: PartyPairing) -> np.ndarray:
+    """Pattern weights of ``W ⊗ Z`` in the merged layout from those of ``W``
+    and ``Z``: the OR-convolution ``Σ x[p] · y[q]`` over ``p | q = P`` per
+    merged subsystem, a sum of products with nothing to cancel. On 0/1
+    indicators it marks the ORs of a pattern of each."""
+    merged = _merged_subsystems(w_layout, z_layout, pairing)
+    x = x.transpose([p for p, _ in merged])
+    y = y.transpose([q for _, q in merged])
+    n = x.ndim
+    out = np.multiply.outer(x, y).transpose([a for k in range(n) for a in (k, k + n)])
+    out = out.reshape([a * b for a, b in zip(x.shape, y.shape)])
+    for a, b in zip(x.shape, y.shape):
+        fold = [[(i | j) == k for k in range(max(a, b))] for i in range(a) for j in range(b)]
+        out = np.tensordot(out, np.array(fold, dtype=float), axes=(0, 0))
+    return out
+
+
+def _forbidden(shape: tuple[int, ...]) -> np.ndarray:
+    """Which patterns of a layout with these subsystem axes (input then
+    output per party) break the term rule."""
+    bits = np.indices(shape)
+    return ~_allowed(np.moveaxis(bits[0::2] | bits[1::2] << 1, 0, -1))
+
+
+def _pattern_check(w: ProcessMatrix, z: ProcessMatrix, rw: FactorRecord, rz: FactorRecord,
+                   pairing: PartyPairing) -> tuple[bool, float]:
+    """Whether ``W ⊗ Z`` is a valid process, decided at factor size from the
+    factors' pattern weights, with no operator basis and no term rows, and
+    its forbidden weight ``Σ w(p)·w(q)`` over the factor pattern pairs whose
+    OR breaks the term rule, which is ``‖F‖_F²`` of the product's forbidden
+    part ``F``. ``rw`` and ``rz`` are the factors' records, read for their
+    extreme eigenvalues, norms and traces only. The product is valid when
+    the four products of the extremes are at least ``−1e-9 ‖W‖_F ‖Z‖_F``,
+    ``tr W · tr Z`` is within ``1e-9 d_out`` of ``d_out``, and no OR of two
+    present factor patterns is forbidden."""
+    fw, fz = _Weights.of(w), _Weights.of(z)
+    weights = _merge_weights(fw.weights, fz.weights, w.layout, z.layout, pairing)
+    present = _merge_weights(fw.present, fz.present, w.layout, z.layout, pairing) > 0
+    forbidden = _forbidden(weights.shape)
+    lam_min = _product_extremes((rw.lam_min, rw.lam_max), (rz.lam_min, rz.lam_max))[0]
+    d_out = combined_layout(w.layout, z.layout, pairing).d_out
+    verdict = bool(-lam_min <= 1e-9 * rw.norm * rz.norm
+                   and abs(rw.trace * rz.trace - d_out) <= 1e-9 * d_out
+                   and not present[forbidden].any())
+    return verdict, _ldexp(float(weights[forbidden].sum()), 2 * (fw.exp + fz.exp))
 
 
 @dataclass(frozen=True)

@@ -289,3 +289,30 @@ def loop_serialize(w, metadata=None) -> str:
         lines.append(f'  "metadata": {json.dumps(metadata, sort_keys=True)}')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def gell_mann_weights(p) -> np.ndarray:
+    """Reference for ``linalg._pattern_weights``: entry ``b`` is ``dim``
+    times the sum of the squared Gell-Mann coefficients of ``p.op`` over
+    the terms that are not the identity exactly on the subsystems with
+    ``b_k = 1`` (axes of size 1 for subsystems of dimension 1)."""
+    from procval import hsbasis
+
+    dims = p.layout.subsystem_dims()
+    squares = hsbasis.coefficient_tensor(p.op, dims) ** 2
+    out = np.zeros([2 if d > 1 else 1 for d in dims])
+    for b in np.ndindex(out.shape):
+        picks = [np.arange(1, d * d) if bit else [0] for bit, d in zip(b, dims)]
+        out[b] = squares[np.ix_(*picks)].sum()
+    return p.dim * out
+
+
+def dense_forbidden_weight(p) -> float:
+    """Reference for the forbidden weight of ``p.op``: the
+    :func:`gell_mann_weights` of the patterns that ``classify_term`` does
+    not allow, summed, with no term pruned."""
+    from procval import HSTerm, classify_term
+
+    weights = gell_mann_weights(p)
+    return float(sum(weights[b] for b in np.ndindex(weights.shape)
+                     if not classify_term(HSTerm(b, 0.0), p.layout).is_allowed()))

@@ -3,15 +3,20 @@ contract (0 = valid/pass, 1 = invalid/fail, 2 = usage/input error)."""
 
 import itertools
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from procval import (
+    HSTerm,
+    PartyLayout,
     ProcessMatrix,
     find_blocking_pairs,
     gallery_entry,
     gallery_names,
     hsbasis,
+    is_valid_process,
     normalization_oracle,
     serialize,
     tensor_product,
@@ -21,7 +26,14 @@ from procval import (
 from procval.cli import main
 from procval.io_format import load_path
 
-from helpers import BASE_NAMES, SQUARED_TWOWAY_WITNESS, record_eigvalsh_dims
+from helpers import (
+    BASE_NAMES,
+    QUBIT_BIPARTITE,
+    SQUARED_TWOWAY_WITNESS,
+    dense_forbidden_weight,
+    dense_product,
+    record_eigvalsh_dims,
+)
 
 
 @pytest.fixture()
@@ -99,8 +111,11 @@ class TestProduct:
         assert payload["verdict"] is False
         assert len(payload["blocking_pairs"]) == 2
         assert payload["two_party_check_invalid"] is True
-        assert payload["direct_verdict"] is False
+        assert payload["pattern_verdict"] is False
         assert payload["cross_check"] == "agree"
+        w = twoway_channel_process(2)
+        assert payload["forbidden_weight"] == pytest.approx(
+            dense_forbidden_weight(dense_product(w, w)), rel=1e-12)
 
     def test_oneway_same_direction(self, docs, capsys):
         assert main(["product", docs["oneway-xy-d2"], docs["oneway-xy-d2"]]) == 0
@@ -124,17 +139,11 @@ class TestProduct:
                      "--pairing", pairing]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_direct_check_capped(self, docs, capsys):
-        assert main(["product", docs["twoway-d2"], docs["twoway-d2"],
-                     "--max-direct-dim", "64", "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert "direct_verdict" not in payload
-
     def test_each_input_is_extracted_once(self, docs, capsys, monkeypatch):
         """The blocking-pair search and the two-party shortcut read the same
-        two records, so without the cross-check two operators are extracted
-        (``hsbasis._extract`` is the extraction every record and every
-        ``coefficient_tensor`` runs)."""
+        two records, and the cross-check extracts nothing, so two operators
+        are extracted (``hsbasis._extract`` is the extraction every record
+        and every ``coefficient_tensor`` runs)."""
         extracted, real = [], hsbasis._extract
 
         def spy(m, dims, *args):
@@ -142,8 +151,7 @@ class TestProduct:
             return real(m, dims, *args)
 
         monkeypatch.setattr(hsbasis, "_extract", spy)
-        assert main(["product", docs["twoway-d2"], docs["oneway-xy-d2"],
-                     "--max-direct-dim", "0", "--json"]) == 1
+        assert main(["product", docs["twoway-d2"], docs["oneway-xy-d2"], "--json"]) == 1
         assert len(extracted) == 2
         monkeypatch.setattr(hsbasis, "_extract", real)
         payload = json.loads(capsys.readouterr().out)
@@ -156,12 +164,13 @@ class TestProduct:
              "cases": [list(c) for c in cases]}
             for (tw, tz), cases in zip(report.blocking_pairs, report.per_party_cases)]
         assert payload["two_party_check_invalid"] is two_party_product_invalid(w, z) is True
-        assert "direct_verdict" not in payload
+        assert payload["pattern_verdict"] is False and payload["cross_check"] == "agree"
 
-    def test_cross_check_eigendecomposes_the_built_product(self, docs, capsys, monkeypatch):
-        """The cross-check builds the record-free operator directly, so it
-        pays for no factor record: one more extraction and one more
-        ``eigvalsh``, both of the built product."""
+    @pytest.mark.parametrize("second, dim", [("oneway-xy-d2", 256), ("twoway-d4", 4096)])
+    def test_cross_check_stays_at_factor_size(self, docs, capsys, monkeypatch, second, dim):
+        """Every ``eigvalsh`` and every extraction is of a factor, one of each
+        per factor for the records; the cross-check reads the records'
+        extremes and runs neither."""
         extracted, real = [], hsbasis._extract
 
         def spy(m, dims, *args):
@@ -170,9 +179,80 @@ class TestProduct:
 
         monkeypatch.setattr(hsbasis, "_extract", spy)
         dims = record_eigvalsh_dims(monkeypatch)
-        assert main(["product", docs["twoway-d2"], docs["oneway-xy-d2"]]) == 1
-        assert "(agree)" in capsys.readouterr().out
-        assert sorted(dims) == sorted(extracted) == [16, 16, 256]
+        assert main(["product", docs["twoway-d2"], docs[second]]) == 1
+        out = capsys.readouterr().out
+        assert f"dim {dim} " in out and "invalid, forbidden weight" in out and "(agree)" in out
+        factor_dims = [16, dim // 16]
+        assert sorted(extracted) == sorted(dims) == factor_dims
+
+    def test_dim_4096_product_makes_no_dim_squared_array(self, docs, capsys):
+        """``twoway-d2 x twoway-d4`` is decided and cross-checked at a traced
+        peak (about 5 MB) below one dim² array of 16.8 M entries, even of
+        bools (16 MB; 268 MB as complex). Its larger factor's operator is
+        1 MB."""
+        tracemalloc.start()
+        try:
+            code = main(["product", docs["twoway-d2"], docs["twoway-d4"]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and "(agree)" in capsys.readouterr().out
+        assert peak < 12 * 2 ** 20, peak
+
+    def test_overflowing_product_is_an_input_error(self, tmp_path, capsys):
+        """``I/2 + 1e160 (X on the input)`` is a finite document, but its
+        product with itself overflows the double range: exit 2, as the
+        library's ``is_valid_process(tensor_product(huge, huge))`` raises."""
+        layout = PartyLayout.of(("A", 2, 2))
+        huge = ProcessMatrix(layout, np.eye(4) / 2 + 1e160 * np.kron([[0, 1], [1, 0]], np.eye(2)))
+        path = tmp_path / "huge.procmat.json"
+        path.write_text(serialize(huge), encoding="utf-8")
+        with pytest.raises(ValueError, match="non-finite"):
+            is_valid_process(tensor_product(huge, huge))
+        assert main(["product", str(path), str(path)]) == 2
+        assert "the product overflows" in capsys.readouterr().err
+
+    @staticmethod
+    def write_near_maxmix(tmp_path, **terms) -> list[str]:
+        """One ``X(2->2)Y(2->2)`` document per keyword: ``I/4`` plus the
+        given ``HSTerm`` list."""
+        paths = []
+        for name, ts in terms.items():
+            op = np.eye(16) / 4 + hsbasis.reconstruct(ts, QUBIT_BIPARTITE.subsystem_dims())
+            path = tmp_path / f"{name}.procmat.json"
+            path.write_text(serialize(ProcessMatrix(QUBIT_BIPARTITE, op)), encoding="utf-8")
+            paths.append(str(path))
+        return paths
+
+    def test_sub_threshold_signalling_pair(self, tmp_path, capsys):
+        """``I/4 + 1e-6 s(0,3,3,0)`` x ``I/4 + 1e-6 s(3,0,0,3)``: the two
+        small signalling terms block, and the pattern weights see them
+        too, although the dense extraction of the built product would prune
+        their 1e-12 product term and say valid."""
+        paths = self.write_near_maxmix(tmp_path, w=[HSTerm((0, 3, 3, 0), 1e-6)],
+                                       z=[HSTerm((3, 0, 0, 3), 1e-6)])
+        assert main(["product", *paths]) == 1
+        out = capsys.readouterr().out
+        assert "pattern-weight check of the product: invalid" in out and "(agree)" in out
+        assert "verdict: INVALID" in out
+        assert main(["product", *paths, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        # The product term 1e-12 s(3,12,12,3), times dim 256.
+        assert payload["forbidden_weight"] == pytest.approx(256 * 1e-24, rel=1e-6, abs=0)
+
+    def test_many_sub_threshold_terms_disagree(self, tmp_path, capsys):
+        """Nine terms of 0.5e-9 on one X-output, Y-input pattern are each
+        below the per-term threshold, so the verdict drops them, but their
+        pattern weight is above the weight threshold: against the signalling
+        term of ``I/4 + 1e-6 s(3,0,0,3)`` the cross-check finds a forbidden
+        pattern and says so (``docs/tolerances.md``)."""
+        paths = self.write_near_maxmix(
+            tmp_path, w=[HSTerm((0, i, j, 0), 0.5e-9) for i in (1, 2, 3) for j in (1, 2, 3)],
+            z=[HSTerm((3, 0, 0, 3), 1e-6)])
+        assert main(["product", *paths]) == 0
+        out = capsys.readouterr().out
+        assert "pattern-weight check of the product: invalid" in out and "(disagree)" in out
+        assert "verdict: VALID" in out
 
 
 class TestOracle:

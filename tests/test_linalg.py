@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from procval import linalg
+from procval import PartyLayout, ProcessMatrix, gallery_entry, gallery_names, linalg
+
+from helpers import cyclic_triple, gell_mann_weights, random_hermitian
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
 
@@ -246,3 +248,36 @@ class TestFrobenius:
         m = np.eye(2, dtype=complex)
         m[0, 1] = bad
         assert linalg.frobenius(m) == pytest.approx(want, nan_ok=True)
+
+
+PATTERN_CASES = ([gallery_entry(name).process for name in gallery_names()]
+                 + list(cyclic_triple()))
+
+
+class TestPatternWeights:
+    """The basis-free split of ``linalg._pattern_weights`` against the
+    Gell-Mann coefficients of ``hsbasis``."""
+
+    @pytest.mark.parametrize("p", PATTERN_CASES, ids=lambda p: str(p.layout.subsystem_dims()))
+    def test_split_matches_gell_mann_sums(self, p):
+        got = linalg._pattern_weights(p.op, p.layout.subsystem_dims())
+        want = gell_mann_weights(p)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * want.sum()
+
+    def test_parts_sum_to_the_squared_norm(self):
+        """On a random operator of subsystem dims (3, 1, 2, 2): every part is
+        nonzero except those traceless on the dimension-1 subsystem, which
+        has no axis for them."""
+        layout = PartyLayout.of(("A", 3, 1), ("B", 2, 2))
+        p = ProcessMatrix(layout, random_hermitian(12, np.random.default_rng(2)))
+        got = linalg._pattern_weights(p.op, layout.subsystem_dims())
+        assert got.shape == (2, 1, 2, 2) and (got > 0).all()
+        assert got.sum() == pytest.approx(np.linalg.norm(p.op) ** 2, rel=1e-14)
+        assert np.abs(got - gell_mann_weights(p)).max() <= 1e-15 * got.sum()
+
+    def test_input_is_not_changed(self):
+        p = gallery_entry("twoway-d3").process
+        op = p.op.copy()
+        linalg._pattern_weights(p.op, p.layout.subsystem_dims())
+        assert np.array_equal(p.op, op)

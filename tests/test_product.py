@@ -33,12 +33,21 @@ from procval import (
 from procval import product
 from procval.hsbasis import HSTerm
 from procval.process import _PRODUCT_ROUNDING, FactorRecord
-from procval.product import _built, _merge_records, _merged_subsystems, _resolve_pairing
+from procval.product import (
+    _built,
+    _merge_records,
+    _merge_weights,
+    _merged_subsystems,
+    _pattern_check,
+    _resolve_pairing,
+    _Weights,
+)
 
 from helpers import (
     BASE_NAMES,
     bipartite_qubit_suite,
     cyclic_triple,
+    dense_forbidden_weight,
     dense_product,
     expansion,
     fold_blocking_pairs,
@@ -1158,3 +1167,115 @@ class TestReducedProduct:
         back = reduced_process(p, keep)
         assert back.layout == w.layout
         assert np.abs(back.op - w.op).max() <= 1e-12
+
+
+def _split(p):
+    return linalg._pattern_weights(p.op, p.layout.subsystem_dims())
+
+
+def _check(w, z, pairing):
+    return _pattern_check(w, z, FactorRecord.of(w), FactorRecord.of(z), pairing)
+
+
+SWAPPED = PartyPairing((("X", "Y", "P"), ("Y", "X", "Q")))
+
+
+class TestPatternCheck:
+    """The cross-check of ``procval product``: the factors' pattern weights,
+    merged by OR-convolution, against the split of the record-free built
+    product, and its verdict against dense validation."""
+
+    @staticmethod
+    def pairs():
+        two, two3, xy = (gallery_entry(name).process
+                         for name in ("twoway-d2", "twoway-d3", "oneway-xy-d2"))
+        x, y, z = cyclic_triple()
+        rng = np.random.default_rng(8)
+        a, b = (ProcessMatrix(THREE_PARTIES, random_hermitian(16, rng)) for _ in range(2))
+        return [(two, xy, None),
+                (two3, two, None),
+                (two, xy, SWAPPED),
+                (x, y, None),
+                (tensor_product(x, y), z, None),
+                (a, b, ROTATED)]
+
+    def test_merged_weights_match_the_dense_split(self):
+        for w, z, pairing in self.pairs():
+            pairing = _resolve_pairing(w.layout, z.layout, pairing)
+            got = _merge_weights(_split(w), _split(z), w.layout, z.layout, pairing)
+            want = _split(dense_product(w, z, pairing))
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * want.sum()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_factor_pairs())
+    def test_merged_weights_on_random_layouts(self, case):
+        w, z, pairing = case
+        got = _merge_weights(_split(w), _split(z), w.layout, z.layout, pairing)
+        want = _split(dense_product(w, z, pairing))
+        assert np.abs(got - want).max() <= 1e-14 * want.sum()
+
+    def test_forbidden_weight_is_the_dense_forbidden_part(self):
+        for w, z, pairing in self.pairs():
+            pairing = _resolve_pairing(w.layout, z.layout, pairing)
+            want = dense_forbidden_weight(dense_product(w, z, pairing))
+            assert _check(w, z, pairing)[1] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_verdict_matches_dense_validation_on_random_suite(self):
+        suite = bipartite_qubit_suite(seed=99, n_mixtures=4, n_random=4)
+        for w, z in suite_pairs(suite, seed=3, n=40):
+            for pairing in (None, SWAPPED):
+                pairing = _resolve_pairing(w.layout, z.layout, pairing)
+                got = _check(w, z, pairing)[0]
+                assert got == is_valid_process(dense_product(w, z, pairing)).verdict
+
+    def test_psd_and_trace_fail_the_check(self):
+        """An input that fails only the PSD check (``I/4 + s(0,0,3,0)/2``,
+        a pure input on Y with eigenvalue ``-1/4``) or only the trace check
+        makes the product fail, as dense validation does."""
+        layout = PartyLayout.of(("X", 2, 2), ("Y", 2, 2))
+        mixed = ProcessMatrix(layout, np.eye(16) / 4)
+        negative = ProcessMatrix(layout, mixed.op + hsbasis.reconstruct(
+            [HSTerm((0, 0, 3, 0), 0.5)], layout.subsystem_dims()))
+        report = is_valid_process(negative)
+        assert report.psd_defect == pytest.approx(0.25) and report.trace_defect == 0
+        assert not report.forbidden_terms
+        pairing = _resolve_pairing(layout, layout, None)
+        for bad in (negative, ProcessMatrix(layout, 2 * mixed.op)):
+            assert _check(bad, mixed, pairing) == (False, 0.0)
+            assert is_valid_process(dense_product(bad, mixed)).verdict is False
+
+
+class TestPatternPresence:
+    """The presence rule of the pattern-weight check (``docs/tolerances.md``,
+    *The pattern-weight cross-check*): a pattern of a dim-D operator is
+    present when its weight exceeds ``1e-18 max(D, largest weight)``."""
+
+    LAYOUT = PartyLayout.of(("X", 2, 2), ("Y", 2, 2))
+
+    def op(self, coeffs):
+        """``I/4`` plus each ``(indices, c)`` term of ``coeffs``."""
+        dims = self.LAYOUT.subsystem_dims()
+        return ProcessMatrix(self.LAYOUT, np.eye(16) / 4 + hsbasis.reconstruct(
+            [HSTerm(t, c) for t, c in coeffs], dims))
+
+    @pytest.mark.parametrize("factor, present", [(0.5, False), (2.0, True)])
+    def test_one_term_pattern_at_its_edge(self, factor, present):
+        """With no pattern weight above D, the rule is the per-term rule on a
+        one-term pattern: ``c² > 1e-18``, so ``|c| > 1e-9``."""
+        c = np.sqrt(factor) * 1e-9
+        w = self.op([((0, 3, 3, 0), c)])
+        assert _Weights.of(w).present[0, 1, 1, 0] == present
+        assert (len(FactorRecord.of(w).values) == 2) == present
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1100, 1e-200, 1e160, 1e300])
+    def test_scaled_operators(self, scale):
+        """Far from 1 the weights are taken at a power-of-two scale, so none
+        overflows: a large operator keeps its patterns (the largest weight
+        sets the threshold), and a tiny one has none (the floor does)."""
+        w = self.op([((0, 3, 3, 0), 1e-6)])
+        got = _Weights.of(ProcessMatrix(self.LAYOUT, scale * w.op)).present
+        if scale < 1:
+            assert not got.any()
+        else:
+            assert np.array_equal(got, _Weights.of(w).present)
