@@ -43,11 +43,11 @@ def _emit(args, payload: dict, human_lines: list[str]) -> int:
     return payload["exit_code"]
 
 
-def _term_dict(term, sig, layout) -> dict:
+def _term_dict(term, sig, kind: str) -> dict:
     return {
         "indices": list(term.indices),
         "coeff": term.coeff,
-        "type": sig.type_string(layout),
+        "type": kind,
         "codes": list(sig.codes),
     }
 
@@ -63,13 +63,11 @@ def cmd_validate(args) -> int:
     lines = [f"validate {args.file}", _layout_line(w.layout)]
     lines.append(f"min eigenvalue: {-report.psd_defect:.6g}")
     lines.append(f"trace defect:  {report.trace_defect:.6g}")
-    if report.forbidden_terms:
-        lines.append(f"forbidden terms ({len(report.forbidden_terms)}):")
-        for term, sig in report.forbidden_terms:
-            lines.append(
-                f"  indices {term.indices}  coeff {term.coeff:+.6g}"
-                f"  type {sig.type_string(w.layout)}"
-            )
+    forbidden = [(t, sig, sig.type_string(w.layout)) for t, sig in report.forbidden_terms]
+    if forbidden:
+        lines.append(f"forbidden terms ({len(forbidden)}):")
+        for term, _, kind in forbidden:
+            lines.append(f"  indices {term.indices}  coeff {term.coeff:+.6g}  type {kind}")
     else:
         lines.append("forbidden terms: none")
     lines.append(f"verdict: {'VALID' if report.verdict else 'INVALID'}")
@@ -80,7 +78,7 @@ def cmd_validate(args) -> int:
         "verdict": report.verdict,
         "psd_defect": report.psd_defect,
         "trace_defect": report.trace_defect,
-        "forbidden_terms": [_term_dict(t, sig, w.layout) for t, sig in report.forbidden_terms],
+        "forbidden_terms": [_term_dict(*row) for row in forbidden],
         "exit_code": code,
     }
     return _emit(args, payload, lines)
@@ -92,12 +90,11 @@ def cmd_decompose(args) -> int:
     identity_coeff = float(w.op.trace().real) / w.dim
     lines = [f"decompose {args.file}", _layout_line(w.layout)]
     zeros = (0,) * (2 * w.layout.n_parties)
-    rows = [(t, classify_term(t, w.layout)) for t in terms if not t.is_trivial()]
+    sigs = [(t, classify_term(t, w.layout)) for t in terms if not t.is_trivial()]
+    rows = [(t, sig, sig.type_string(w.layout)) for t, sig in sigs]
     lines.append(f"  indices {zeros}  coeff {identity_coeff:+.6g}  type trivial")
-    for t, sig in rows:
-        lines.append(
-            f"  indices {t.indices}  coeff {t.coeff:+.6g}  type {sig.type_string(w.layout)}"
-        )
+    for t, _, kind in rows:
+        lines.append(f"  indices {t.indices}  coeff {t.coeff:+.6g}  type {kind}")
     lines.append(f"{1 + len(rows)} terms")
     payload = {
         "command": "decompose",
@@ -105,7 +102,7 @@ def cmd_decompose(args) -> int:
         "terms": [
             {"indices": list(zeros), "coeff": identity_coeff, "type": "trivial",
              "codes": ["0"] * w.layout.n_parties}
-        ] + [_term_dict(t, sig, w.layout) for t, sig in rows],
+        ] + [_term_dict(*row) for row in rows],
         "exit_code": 0,
     }
     return _emit(args, payload, lines)

@@ -8,8 +8,9 @@ line, newline-terminated — so equal values produce byte-identical documents
 and serialize(parse(serialize(w))) is a fixed point. Entry flattening follows
 the package-wide convention: row-major, inputs before outputs, parties in
 declared order. A document in the canonical layout is read in one flat pass
-over its distinct entry lines; any other by ``json.loads`` of the whole text,
-to the same values and errors. Each distinct entry is formatted once.
+over its distinct entry lines, found block by block; any other by
+``json.loads`` of the whole text, to the same values and errors. Each
+distinct entry is formatted once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -117,30 +118,47 @@ _CANONICAL_HEAD = re.compile(
 _CANONICAL_TAIL = re.compile(r'\n    \]\n  \}(?:,\n  "metadata": ([^\n]*))?\n\}\n')
 _NUMBER_CHARS = b"0123456789.eE+-"
 _ENTRY_LINE = b"      [, ],\n"  # an entry line without its numbers
-_PIECE = 1 << 16  # bytes of entry lines split at a time
+_BLOCK = 32  # entry lines (reader) or entries (writer) keyed as one block
+# Bytes of entry lines (reader) or of entries (writer) in the first look: when
+# it holds no repeat, the lines are decoded whole or the entries formatted one
+# by one, since keying them would cost more than it saves.
+_LOOK = 1 << 16
+
+
+def _numbered(keys: list) -> tuple[list, np.ndarray]:
+    """The distinct keys in first-seen order, and the number of each key
+    among them."""
+    rank = dict.fromkeys(keys)
+    rank.update(zip(rank, itertools.count()))
+    return list(rank), np.fromiter(map(rank.__getitem__, keys), dtype=np.intp, count=len(keys))
 
 
 def _line_numbers(body: bytes) -> tuple[list[bytes], np.ndarray] | None:
-    """The distinct lines of an entry block in first-seen order, and the
-    number of each of its lines among them. The block is split a piece of
-    about ``_PIECE`` bytes at a time, so that only a few thousand line
-    objects exist at once. None as soon as a piece holds only lines not seen
-    before: such a block is left to be decoded whole, since splitting and
-    keying all of its lines would add about a fifth to that."""
-    rank: dict[bytes, int] = {}
-    parts = []
-    start = 0
-    while True:
-        cut = body.find(b",\n", start + _PIECE)  # a piece ends where a line does
-        lines = body[start:cut if cut >= 0 else len(body)].split(b",\n")
-        new = [line for line in dict.fromkeys(lines) if line not in rank]
-        if len(new) == len(lines):
-            return None
-        rank.update(zip(new, itertools.count(len(rank))))
-        parts.append(np.fromiter(map(rank.__getitem__, lines), dtype=np.intp, count=len(lines)))
-        if cut < 0:
-            return list(rank), np.concatenate(parts)
-        start = cut + 2
+    """The distinct lines of the entry lines ``body`` in first-seen order,
+    and the number of each line among them; None when the lines in the first
+    ``_LOOK`` bytes are all distinct, or when a ``\\n`` does not follow a
+    ``,``. Entry lines longer than the look are cut into blocks of
+    ``_BLOCK`` lines, keyed by their bytes, and only the distinct blocks are
+    split into lines and keyed; shorter ones are keyed line by line."""
+    if len(body) <= _LOOK:
+        distinct, numbers = _numbered(body.split(b",\n"))
+        return (distinct, numbers) if len(distinct) < len(numbers) else None
+    look = body[:body.rfind(b",\n", 0, _LOOK)].split(b",\n")
+    if len(set(look)) == len(look):
+        return None
+    view = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(view == 10)  # the "\n" of each line but the last
+    if not (ends[0] > 0 and (view[ends - 1] == 44).all()):
+        return None
+    cuts = ends[_BLOCK - 1::_BLOCK]  # the end of each full block but the last
+    starts = [0, *(cuts + 1).tolist()]
+    stops = [*(cuts - 1).tolist(), len(body)]  # without the block's closing ",\n"
+    blocks, block_numbers = _numbered(list(map(body.__getitem__, map(slice, starts, stops))))
+    # A short last block is the last distinct one.
+    distinct, numbers = _numbered(b",\n".join(blocks).split(b",\n"))
+    table = np.zeros(len(blocks) * _BLOCK, dtype=np.intp)
+    table[:len(numbers)] = numbers
+    return distinct, table.reshape(-1, _BLOCK)[block_numbers].reshape(-1)[:len(ends) + 1]
 
 
 def _canonical_document(text: str) -> dict | None:
@@ -260,8 +278,16 @@ def parse(text: str) -> ProcessMatrix:
     return parse_document(text)[0]
 
 
-_CHUNK = 4096  # entries formatted or keyed per batch, bounding the temporary lists
 _ENTRY = "      [{!r}, {!r}]".format  # repr: the shortest round-trip decimal
+
+
+def _formatted(keys: list[bytes]) -> Iterator[str]:
+    """The line of each entry, given by its 16 raw bytes, formatting each
+    distinct entry once."""
+    line = dict.fromkeys(keys)
+    values = np.frombuffer(b"".join(line), dtype=np.complex128)
+    line.update(zip(line, map(_ENTRY, values.real.tolist(), values.imag.tolist())))
+    return map(line.__getitem__, keys)
 
 
 def _entry_lines(flat: np.ndarray) -> str:
@@ -269,30 +295,31 @@ def _entry_lines(flat: np.ndarray) -> str:
 
     Each value goes through ``repr`` of its Python float, so every value
     prints exactly as a per-entry ``repr`` would. Entries are keyed by their
-    16 raw bytes and each distinct entry is formatted once, so ``0.0`` and
-    ``-0.0``, equal as floats, keep their own text. From a chunk of entries
-    that are all new on, each entry is formatted, as keying them would cost
-    more than it saves."""
+    raw bytes, so ``0.0`` and ``-0.0``, equal as floats, keep their own text,
+    and each distinct entry is formatted once. An operator longer than the
+    first ``_LOOK`` bytes is keyed ``_BLOCK`` entries at a time, and only the
+    entries of its distinct blocks are keyed one by one; when the entries of
+    the look are all distinct, each entry is formatted instead."""
     finite = np.isfinite(flat)
     if not finite.all():
         bad = flat[~finite][0]
         x = bad.real if not np.isfinite(bad.real) else bad.imag
         raise ValueError(f"cannot serialize non-finite entry {x!r}")
-    keys = flat.view("V16")  # the bits of each entry
-    line = {}  # the line of each distinct entry, by its bits
-    chunks = []
-    for s in range(0, flat.size, _CHUNK):
-        chunk = keys[s:s + _CHUNK].tolist()
-        new = [k for k in dict.fromkeys(chunk) if k not in line]
-        if len(new) == len(chunk):
-            chunks += (",\n".join(map(_ENTRY, flat.real[r:r + _CHUNK].tolist(),
-                                      flat.imag[r:r + _CHUNK].tolist()))
-                       for r in range(s, flat.size, _CHUNK))
-            break
-        values = np.frombuffer(b"".join(new), dtype=np.complex128)
-        line.update(zip(new, map(_ENTRY, values.real.tolist(), values.imag.tolist())))
-        chunks.append(",\n".join(map(line.__getitem__, chunk)))
-    return ",\n".join(chunks)
+    look = flat[:_LOOK // 16].view("V16").tolist()
+    if len(look) == flat.size:
+        return ",\n".join(_formatted(look))
+    if len(set(look)) == len(look):
+        return ",\n".join(map(_ENTRY, flat.real.tolist(), flat.imag.tolist()))
+    full = flat.size - flat.size % _BLOCK
+    keys = flat[:full].view(f"V{16 * _BLOCK}").tolist()
+    if full < flat.size:
+        keys.append(flat[full:].tobytes())  # the short last block
+    blocks = dict.fromkeys(keys)  # the text of each distinct block, by its bytes
+    lines = list(_formatted(np.frombuffer(b"".join(blocks), dtype="V16").tolist()))
+    # A short last block is the last distinct one.
+    blocks.update(zip(blocks, (",\n".join(lines[s:s + _BLOCK])
+                               for s in range(0, len(lines), _BLOCK))))
+    return ",\n".join(map(blocks.__getitem__, keys))
 
 
 def serialize(w: ProcessMatrix, metadata: dict | None = None) -> str:

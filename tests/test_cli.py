@@ -12,6 +12,7 @@ from procval import (
     HSTerm,
     PartyLayout,
     ProcessMatrix,
+    TermSignature,
     find_blocking_pairs,
     gallery_entry,
     gallery_names,
@@ -102,6 +103,30 @@ class TestDecompose:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["terms"]) == 1
         assert payload["terms"][0]["type"] == "trivial"
+
+
+@pytest.mark.parametrize("command, name", [("validate", "squared"), ("decompose", "twoway-d4"),
+                                           ("decompose", "squared")])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_one_type_string_per_listed_term(docs, capsys, monkeypatch, command, name, as_json):
+    """Each listed term's type is made once and shared by the text lines and
+    the ``--json`` payload."""
+    calls = []
+    real = TermSignature.type_string
+
+    def spy(sig, layout):
+        calls.append(sig)
+        return real(sig, layout)
+
+    monkeypatch.setattr(TermSignature, "type_string", spy)
+    main([command, docs[name]] + ["--json"] * as_json)
+    out = capsys.readouterr().out
+    if as_json:
+        payload = json.loads(out)
+        listed = payload["forbidden_terms" if command == "validate" else "terms"]
+        assert len(calls) == sum(t["type"] != "trivial" for t in listed) > 0
+    else:
+        assert len(calls) == out.count("  type ") - (command == "decompose") > 0
 
 
 class TestProduct:

@@ -394,8 +394,9 @@ def mutations():
     yield "d_in", text.replace('"d_in": 2', '"d_in": 0', 1)
     yield "escaped name", text.replace('"name": "X"', '"name": "\\u0058\\""')
     yield "duplicate name", text.replace('"name": "Y"', '"name": "X"')
-    # Repetition-heavy texts: a dim-256 product (its entry block is 18 of the
-    # reader's pieces) and lines that differ only in the sign of a zero.
+    # Repetition-heavy texts: a dim-256 product (its 65,536 entry lines are
+    # 2,048 of the reader's blocks) and lines that differ only in the sign of
+    # a zero.
     big = canonical("product-256")
     yield "NaN in one repeated line late", set_entry(big, 60000, "[NaN, 0.0]")
     yield "space in one repeated line late", set_entry(big, 50000, "[0.0,  0.0]")
@@ -404,6 +405,11 @@ def mutations():
     yield "signed zero late", set_entry(big, 30000, "[-0.0, 0.0]")
     yield "integer late", set_entry(big, 30000, "[0, -0]")
     yield "one line fewer", big.replace("      [0.0, 0.0],\n", "", 1)
+    lines = big.split("\n")
+    at = lines.index('    "entries": [') + 1
+    for k, where in ((31, "at a block's end"), (40, "in mid-block")):
+        yield f"digit for the comma of a line {where}", "\n".join(
+            lines[:at + k] + [lines[at + k][:-1] + "1"] + lines[at + k + 1:])
     zeros = canonical("signed-zeros")
     yield "signed zeros", zeros
     yield "signed zeros, one line with a plus", zeros.replace("[-0.0, 0.0]", "[-0.0, +0.0]", 1)
@@ -443,7 +449,15 @@ def test_flat_reader_matches_json_loads_on_random_edits(name, values, inserts):
     the text (the header, the closing lines and the metadata included):
     whatever the text becomes, the reader with the canonical-layout path
     gives what the json.loads path gives. Every document repeats its lines;
-    the entry block of ``twoway-d3`` is two of the reader's pieces."""
+    only the entry lines of ``twoway-d3`` are longer than the reader's first
+    look, so only they are keyed block by block."""
+    fast, general = read_both(edited(name, values, inserts))
+    assert fast == general
+
+
+def edited(name, values, inserts):
+    """The canonical text of ``name`` with ``values`` put in place of entry
+    values, then ``inserts`` inserted anywhere."""
     text = canonical(name, {"note": "a [b], c"})
     lines = text.split("\n")
     first = lines.index('    "entries": [') + 1
@@ -458,8 +472,7 @@ def test_flat_reader_matches_json_loads_on_random_edits(name, values, inserts):
     for where, token in inserts:
         at = int(where * len(text))
         text = text[:at] + token + text[at:]
-    fast, general = read_both(text)
-    assert fast == general
+    return text
 
 
 # Documents are read and written per distinct entry: the reader decodes each
@@ -507,10 +520,14 @@ def assert_matches_the_references(text):
     return w
 
 
-def distinct_lines(text):
+def entry_lines(text):
     lines = text.split("\n")
     first = lines.index('    "entries": [') + 1
-    return {line.rstrip(",") for line in lines[first:lines.index("    ]", first)]}
+    return [line.rstrip(",") for line in lines[first:lines.index("    ]", first)]]
+
+
+def distinct_lines(text):
+    return set(entry_lines(text))
 
 
 @pytest.mark.parametrize("name", ["product-256", "twoway-d4", "signed-zeros", "twoway-d3"])
@@ -537,14 +554,17 @@ def test_lines_differing_only_in_the_sign_of_zero_keep_their_bits():
     assert serialize(back) == text == loop_serialize(w)
 
 
-@pytest.mark.parametrize("k", [0, 5000, 65535])
+@pytest.mark.parametrize("k", [0, io_format._BLOCK - 1, io_format._BLOCK, 5000,
+                               65536 - io_format._BLOCK, 65535])
 @pytest.mark.parametrize("line", ["[NaN, 0.0]", "[0.0,  0.0]", "[true, 0.0]",
                                   f"[{'9' * 400}, 0]", "[1e400, 0.0]", "[-0, 0.0]",
                                   "[0.25, 0.0]"])
 def test_one_changed_occurrence_of_a_repeated_line(k, line):
-    """One occurrence of a line that repeats thousands of times is changed,
-    in the first, second and last of the reader's pieces: the text is read
-    as the json.loads path reads it, to the same values or the same error."""
+    """One occurrence of a line that repeats thousands of times is changed:
+    at the first and last line of the first block, at the first line of the
+    second and of the last block, in mid-document and at the last line. The
+    text is read as the json.loads path reads it, to the same values or the
+    same error."""
     text = canonical("product-256")
     mutated = set_entry(text, k, line)
     fast, general = read_both(mutated)
@@ -589,50 +609,152 @@ def test_all_distinct_random_document(decoded, formatted):
     assert_matches_the_references(text)
 
 
-@pytest.mark.parametrize("first_repeat", [1, 3120, 3121, 4095, 4096, 6000])
-def test_repeats_that_start_at_the_first_piece_ends(first_repeat, decoded, formatted):
-    """Lines all distinct before line ``first_repeat``, which repeats the line
-    before it, as do all later ones. The reader splits pieces of about
-    ``_PIECE`` bytes (3121 lines of 21 bytes here), the writer chunks of
-    ``_CHUNK`` entries: a repeat in the first has each decode or format
-    every distinct entry once; a later one leaves them to the whole block,
-    to the same values and bytes."""
-    layout = PartyLayout.of(("X", 9, 9))
-    flat = np.full(81 * 81, 9999.5, dtype=np.complex128)  # 21 bytes a line, as below
-    flat[:first_repeat - 1] = np.arange(first_repeat - 1) + 1000.5
-    text = serialize(ProcessMatrix(layout, flat.reshape(81, 81)))
-    body = text[text.index("[\n      [") + 2:].encode()
-    assert body[:body.find(b",\n", io_format._PIECE)].count(b",\n") + 1 == 3121
-    del decoded[:], formatted[:]
-    w = assert_matches_the_references(text)
+@pytest.fixture()
+def numbered(monkeypatch):
+    """The number of keys of each ``_numbered`` call during the test: a
+    reader that keys block by block numbers its blocks, then the lines of
+    its distinct blocks."""
+    counts = []
+    real = io_format._numbered
+
+    def spy(keys):
+        counts.append(len(keys))
+        return real(keys)
+
+    monkeypatch.setattr(io_format, "_numbered", spy)
+    return counts
+
+
+R = io_format._BLOCK
+
+
+def distinct_blocks(text):
+    """The distinct blocks of ``text``'s entry lines, as tuples of lines: a
+    reader that keys block by block splits and keys only their lines."""
+    lines = entry_lines(text)
+    return {tuple(lines[s:s + R]) for s in range(0, len(lines), R)}
+
+
+def read_and_write_dim_81(flat, decoded, formatted, numbered):
+    """Parse and serialize a one-party document of dim 81 (6561 entry lines
+    of 21 bytes: 205 full blocks and a short last one of one line) holding
+    ``flat``. Returns the number of distinct lines, the numbers of keys
+    the reader numbered, the lengths of the lists it decoded, the number of
+    entries the writer formatted and the number of lines in the distinct
+    blocks, after checking the values and bytes against the references."""
+    text = serialize(ProcessMatrix(PartyLayout.of(("X", 9, 9)), flat.reshape(81, 81)))
+    assert {len(line) for line in entry_lines(text)} == {19}
+    del decoded[:], formatted[:], numbered[:]
+    w = parse(text)
+    counts, lengths = list(numbered), list(decoded)
+    serialize(w)
+    written = len(formatted)
     assert w.op.reshape(-1).tobytes() == flat.tobytes()
-    assert decoded[0] == 2 * (81 * 81 if first_repeat >= 3121 else first_repeat)
-    assert len(formatted) == (81 * 81 if first_repeat >= io_format._CHUNK else first_repeat)
+    assert serialize(assert_matches_the_references(text)) == text
+    split = sum(map(len, distinct_blocks(text)))
+    return len(distinct_lines(text)), counts, lengths, written, split
 
 
-def test_line_numbers_across_pieces():
-    """A block split into pieces numbers its lines as one split of the whole
-    block would: each distinct line by first sight, later pieces reusing the
-    numbers of earlier ones."""
-    text = canonical("product-256")
+@pytest.mark.parametrize("first_repeat", [1, 3119, 3120, 3121, 4095, 4096, 6000])
+def test_repeats_that_start_at_the_first_piece_ends(first_repeat, decoded, formatted,
+                                                    numbered):
+    """Lines all distinct before line ``first_repeat``, which repeats the line
+    before it, as do all later ones. The first look is a piece of ``_LOOK``
+    bytes of entry lines for the reader (its first 3120 lines here) and of
+    ``_LOOK // 16`` entries for the writer. A repeat inside it has the
+    lines keyed block by block, splitting only the lines of the distinct
+    blocks, and each distinct entry decoded or formatted once; a later one
+    leaves them to the whole block, to the same values and bytes."""
+    flat = np.full(81 * 81, 9999.5, dtype=np.complex128)
+    flat[:first_repeat - 1] = np.arange(first_repeat - 1) + 1000.5
+    m, counts, lengths, written, split = read_and_write_dim_81(flat, decoded, formatted,
+                                                               numbered)
+    if 21 * (first_repeat + 1) <= io_format._LOOK:
+        assert m == first_repeat and lengths == [2 * m]
+        assert counts == [206, split] and split < 81 * 81
+    else:
+        assert counts == [] and lengths == [2 * 81 * 81]
+    assert written == (m if first_repeat < io_format._LOOK // 16 else 81 * 81)
+
+
+@pytest.mark.parametrize("start", [R * 40, R * 40 + 13, 81 * 81 - 1])
+def test_repeats_that_start_in_a_block(start, decoded, formatted, numbered):
+    """The first 100 lines repeat one line, so the first look sees a repeat.
+    Later lines are distinct up to line ``start`` and repeat the first line
+    from there on: from a block's first line, from mid-block, or in the
+    short last block only. Blocks that repeat are split once; each
+    distinct line is decoded once and each distinct entry formatted once."""
+    flat = np.arange(81 * 81) + 1000.5 + 0j
+    flat[:100] = flat[start:] = 9999.5
+    m, counts, lengths, written, split = read_and_write_dim_81(flat, decoded, formatted,
+                                                               numbered)
+    assert m == start - 99 and lengths == [2 * m] and written == m
+    assert counts == [206, split]
+    # split: block 0 (blocks 1 and 2 repeat it), each block from line 96 to
+    # the one that holds line start - 1, and the short last block
+    assert split == R + (start - 3 * R) + (start % R > 0) * (R - start % R) + 1
+
+
+def test_distinct_lines_after_repeated_ones(decoded, formatted, numbered):
+    """The first 100 lines repeat, all later ones are distinct. The first
+    look sees the repeat, so the reader keys block by block to the end and
+    splits every block but the two that repeat the first; each distinct line
+    is still decoded once and each distinct entry formatted once, to the same
+    values and bytes."""
+    flat = np.arange(81 * 81) + 1000.5 + 0j
+    flat[:100] = 9999.5
+    m, counts, lengths, written, split = read_and_write_dim_81(flat, decoded, formatted,
+                                                               numbered)
+    assert m == 81 * 81 - 99 and lengths == [2 * m] and written == m
+    assert counts == [206, 81 * 81 - 2 * R] and split == 81 * 81 - 2 * R
+
+
+@pytest.mark.parametrize("name", ["product-256", "twoway-d3"])
+def test_line_numbers_across_blocks(name):
+    """An entry block keyed block by block numbers its lines as one split of
+    the whole block would: each distinct line by first sight. The lines of
+    ``twoway-d3`` (dim 81) end in a short block of one line."""
+    text = canonical(name)
     body = text[text.index("[\n      [") + 2:text.rindex("\n    ]\n  }")].encode()
+    assert len(body) > io_format._LOOK
     lines = body.split(b",\n")
     distinct, index = io_format._line_numbers(body)
     assert distinct == list(dict.fromkeys(lines))
     assert [distinct[k] for k in index.tolist()] == lines
 
 
-def test_distinct_lines_after_repeated_ones(decoded, formatted):
-    """The first 100 lines repeat, all later ones are distinct: the reader
-    stops keying at its first piece of new lines and decodes the whole block,
-    and the writer formats each entry from its first chunk of new entries
-    on, to the same values and bytes."""
-    layout = PartyLayout.of(("X", 9, 9))
-    flat = np.arange(81 * 81) + 1000.5 + 0j
-    flat[:100] = 9999.5
-    text = serialize(ProcessMatrix(layout, flat.reshape(81, 81)))
-    del decoded[:], formatted[:]
-    w = assert_matches_the_references(text)
-    assert w.op.reshape(-1).tobytes() == flat.tobytes()
-    assert decoded[0] == 2 * 81 * 81
-    assert len(formatted) == (io_format._CHUNK - 99) + (81 * 81 - io_format._CHUNK)
+@pytest.mark.parametrize("name", ["product-256", "twoway-d4"])
+def test_a_sparse_product_splits_only_its_distinct_blocks(name, decoded, numbered):
+    """A dim-256 gallery product: its 2,048 blocks are keyed by their bytes,
+    and only the lines of its few distinct blocks are split and keyed."""
+    text = canonical(name)
+    del numbered[:], decoded[:]
+    parse(text)
+    assert numbered[0] == 65536 // R
+    assert numbered[1] <= len(distinct_blocks(text)) * R <= 65536 // 8
+    assert decoded == [2 * len(distinct_lines(text))]
+
+
+# With a first look of 64 bytes of lines (4 entries) and blocks of 2, 3 or 7,
+# every document below is keyed block by block; its 256 entries end in a full
+# block, a short one of one line or one of four.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["twoway-d2", "state-bell-d2", "signed-zeros"]),
+       values=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(TOKENS)),
+                       max_size=3),
+       inserts=st.lists(st.tuples(st.floats(0, 1), st.sampled_from(TOKENS + list("\r\n []{},\""))),
+                        max_size=2),
+       block=st.sampled_from([2, 3, 7]))
+def test_small_blocks_match_the_references_on_random_edits(name, values, inserts, block):
+    """As the random-edit test above, with a small look and small blocks:
+    the reader with the canonical-layout path gives what the json.loads path
+    gives, and what it reads is written as the loop reference writes it."""
+    text = edited(name, values, inserts)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(io_format, "_LOOK", 64)
+        m.setattr(io_format, "_BLOCK", block)
+        fast, general = read_both(text)
+        assert fast == general
+        if isinstance(fast[0], bytes) and np.isfinite(np.frombuffer(fast[0])).all():
+            w = parse(text)
+            assert serialize(w) == loop_serialize(w)
