@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -198,6 +199,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if not 0.0 <= args.threshold < math.inf:
+        raise ValueError(f"--threshold must be a finite number >= 0, got {args.threshold!r}")
     if args.seed is None:
         env = os.environ.get("PROCVAL_SEED", "0")
         try:

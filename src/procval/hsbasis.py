@@ -149,9 +149,13 @@ def default_term_tol(coeffs: np.ndarray) -> float:
 
 def _term_rows(coeffs: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Basis indices (rows, lexicographic order) and coefficients of the terms
-    with |coefficient| > ``tol`` (default :func:`default_term_tol`)."""
+    with |coefficient| > ``tol`` (default :func:`default_term_tol`). A given
+    ``tol`` must be a finite number >= 0: NaN would keep no term, and a
+    negative one every zero."""
     if tol is None:
         tol = default_term_tol(coeffs)
+    elif not 0.0 <= tol < math.inf:
+        raise ValueError(f"term threshold must be a finite number >= 0, got {tol!r}")
     kept = (coeffs > tol) | (coeffs < -tol)
     return np.argwhere(kept), coeffs[kept]
 

@@ -121,7 +121,8 @@ _ENTRY_LINE = b"      [, ],\n"  # an entry line without its numbers
 _BLOCK = 32  # entry lines (reader) or entries (writer) keyed as one block
 # Bytes of entry lines (reader) or of entries (writer) in the first look: when
 # it holds no repeat, the lines are decoded whole or the entries formatted one
-# by one, since keying them would cost more than it saves.
+# by one, since keying them would cost more than it saves. So are they when
+# more than half of the blocks, keyed after a look with a repeat, are distinct.
 _LOOK = 1 << 16
 
 
@@ -139,7 +140,8 @@ def _line_numbers(body: bytes) -> tuple[list[bytes], np.ndarray] | None:
     ``_LOOK`` bytes are all distinct, or when a ``\\n`` does not follow a
     ``,``. Entry lines longer than the look are cut into blocks of
     ``_BLOCK`` lines, keyed by their bytes, and only the distinct blocks are
-    split into lines and keyed; shorter ones are keyed line by line."""
+    split into lines and keyed, unless more than half of the blocks are
+    distinct (None); shorter ones are keyed line by line."""
     if len(body) <= _LOOK:
         distinct, numbers = _numbered(body.split(b",\n"))
         return (distinct, numbers) if len(distinct) < len(numbers) else None
@@ -154,6 +156,8 @@ def _line_numbers(body: bytes) -> tuple[list[bytes], np.ndarray] | None:
     starts = [0, *(cuts + 1).tolist()]
     stops = [*(cuts - 1).tolist(), len(body)]  # without the block's closing ",\n"
     blocks, block_numbers = _numbered(list(map(body.__getitem__, map(slice, starts, stops))))
+    if 2 * len(blocks) > len(block_numbers):
+        return None
     # A short last block is the last distinct one.
     distinct, numbers = _numbered(b",\n".join(blocks).split(b",\n"))
     table = np.zeros(len(blocks) * _BLOCK, dtype=np.intp)
@@ -299,7 +303,8 @@ def _entry_lines(flat: np.ndarray) -> str:
     and each distinct entry is formatted once. An operator longer than the
     first ``_LOOK`` bytes is keyed ``_BLOCK`` entries at a time, and only the
     entries of its distinct blocks are keyed one by one; when the entries of
-    the look are all distinct, each entry is formatted instead."""
+    the look are all distinct, or more than half of the blocks are, each
+    entry is formatted instead."""
     finite = np.isfinite(flat)
     if not finite.all():
         bad = flat[~finite][0]
@@ -308,18 +313,19 @@ def _entry_lines(flat: np.ndarray) -> str:
     look = flat[:_LOOK // 16].view("V16").tolist()
     if len(look) == flat.size:
         return ",\n".join(_formatted(look))
-    if len(set(look)) == len(look):
-        return ",\n".join(map(_ENTRY, flat.real.tolist(), flat.imag.tolist()))
-    full = flat.size - flat.size % _BLOCK
-    keys = flat[:full].view(f"V{16 * _BLOCK}").tolist()
-    if full < flat.size:
-        keys.append(flat[full:].tobytes())  # the short last block
-    blocks = dict.fromkeys(keys)  # the text of each distinct block, by its bytes
-    lines = list(_formatted(np.frombuffer(b"".join(blocks), dtype="V16").tolist()))
-    # A short last block is the last distinct one.
-    blocks.update(zip(blocks, (",\n".join(lines[s:s + _BLOCK])
-                               for s in range(0, len(lines), _BLOCK))))
-    return ",\n".join(map(blocks.__getitem__, keys))
+    if len(set(look)) < len(look):
+        full = flat.size - flat.size % _BLOCK
+        keys = flat[:full].view(f"V{16 * _BLOCK}").tolist()
+        if full < flat.size:
+            keys.append(flat[full:].tobytes())  # the short last block
+        blocks = dict.fromkeys(keys)  # the text of each distinct block, by its bytes
+        if 2 * len(blocks) <= len(keys):
+            lines = list(_formatted(np.frombuffer(b"".join(blocks), dtype="V16").tolist()))
+            # A short last block is the last distinct one.
+            blocks.update(zip(blocks, (",\n".join(lines[s:s + _BLOCK])
+                                       for s in range(0, len(lines), _BLOCK))))
+            return ",\n".join(map(blocks.__getitem__, keys))
+    return ",\n".join(map(_ENTRY, flat.real.tolist(), flat.imag.tolist()))
 
 
 def serialize(w: ProcessMatrix, metadata: dict | None = None) -> str:

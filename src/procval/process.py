@@ -119,18 +119,17 @@ class ProcessMatrix:
     full party space. Construction checks the shape only; validity is decided
     by :func:`is_valid_process`.
 
-    A product built by :func:`~procval.product.tensor_product` carries the
-    :class:`FactorRecord` merged from its factors' records when it was built
-    (none when a factor fails its checks), and read-only copies of its
-    factors' operators: its ``op`` is made from them the first time it is
-    read, and is read-only. ``ProcessMatrix(p.layout, p.op)`` is the same
-    operator without the record, so its spectrum and terms are computed
-    densely.
+    A product built by :func:`~procval.product.tensor_product` holds only
+    its factors (read-only copies of their operators): its record is merged
+    from theirs the first time it is asked a question, and its read-only
+    ``op`` is made from them the first time it is read.
+    ``ProcessMatrix(p.layout, p.op)`` is the same operator without the
+    factors, so its spectrum and terms are computed densely.
     """
 
     layout: PartyLayout
     op: np.ndarray
-    _record: "FactorRecord | None" = field(default=None, init=False, repr=False)
+    _factors: Any = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = linalg.as_operator(self.op)
@@ -142,20 +141,21 @@ class ProcessMatrix:
         object.__setattr__(self, "op", a)
 
     @classmethod
-    def _carrying(cls, layout: PartyLayout, record: "FactorRecord") -> "ProcessMatrix":
-        """A process on ``layout`` that carries ``record``, whose ``factors``
-        make its operator when ``op`` is first read."""
+    def _carrying(cls, layout: PartyLayout, factors) -> "ProcessMatrix":
+        """A process on ``layout`` that holds ``factors``
+        (:class:`procval.product._Factors`), which make its record and its
+        operator on first use."""
         p = object.__new__(cls)
         object.__setattr__(p, "layout", layout)
-        object.__setattr__(p, "_record", record)
+        object.__setattr__(p, "_factors", factors)
         return p
 
     def __getattr__(self, name):
         # Reached only for an attribute that is not set: the ``op`` of a
         # process made by _carrying, before its first read.
-        if name != "op" or self._record is None or self._record.factors is None:
+        if name != "op" or self._factors is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        op = self._record.factors.op
+        op = self._factors.op
         object.__setattr__(self, "op", op)
         return op
 
@@ -241,7 +241,7 @@ class ValidityReport:
     ``forbidden_terms`` lists the terms that break the term rule, with their
     signatures: over the Gell-Mann basis of each subsystem for an extracted
     operator, and over the factors' product basis for a built product's
-    carried record (an explicit term threshold extracts its made operator,
+    merged record (an explicit term threshold extracts its made operator,
     so its terms are then over the Gell-Mann basis too)."""
 
     verdict: bool
@@ -285,8 +285,8 @@ def _tag_patterns(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, 
 def _checked_rows(w: ProcessMatrix) -> tuple[np.ndarray, np.ndarray]:
     """The term rows of ``w.op`` at the default threshold, checked once: for
     a non-finite entry, then for Hermiticity by the extraction. No spectrum
-    is computed. A built product's carried rows are read instead."""
-    if w._record is not None:
+    is computed. A built product's merged rows are read instead."""
+    if w._factors is not None:
         rec = FactorRecord.of(w)
         return rec.indices, rec.values
     return hsbasis._term_rows(hsbasis.coefficient_tensor(
@@ -316,12 +316,12 @@ class FactorRecord:
     trace, and its Hermiticity ``defect`` ``max|W − W†|``.
 
     :meth:`of` reads them off an operator, over the Gell-Mann basis of each
-    subsystem, or returns the record a built product carries. The record of
-    a tensor product is merged from its factors' records in
-    :mod:`procval.product` and never holds a coefficient tensor: its rows
+    subsystem, or returns a built product's merged record. The record of
+    a tensor product, built or folded, is merged from its factors' records
+    in :mod:`procval.product` and never holds a coefficient tensor: its rows
     are the factors' rows multiplied out, over the factors' product basis
-    (:func:`hsbasis._merge_rows`), its norm is the product of the factors'
-    norms and its ``defect`` a bound on the product's. An explicit term
+    (:func:`hsbasis._merge_rows`), its norm and trace are the products of
+    the factors' and its ``defect`` a bound on the product's. An explicit term
     threshold reads the coefficient tensor instead of the rows, over the
     Gell-Mann basis: ``tensor`` when :meth:`of` extracted it, else one
     extraction of ``factors.op``, the operator a built product makes from
@@ -343,15 +343,17 @@ class FactorRecord:
     def of(w: ProcessMatrix) -> "FactorRecord":
         """The record of ``w.op``, checked once: for a non-finite entry, then
         for Hermiticity, with the norm taken once for both the record and the
-        check. A built product's carried record is returned as it is, and its
-        operator is neither made nor read when the checks are sure to pass
-        (:meth:`checks_certain`); otherwise the made operator is checked
-        densely first, so the product raises exactly when its record-free
-        copy ``ProcessMatrix(w.layout, w.op)`` raises."""
-        if w._record is not None:
-            if not w._record.checks_certain():
+        check. A built product's record, merged from its factors' records, is
+        returned as it is, and its operator is neither made nor read when the
+        checks are sure to pass (:meth:`checks_certain`); otherwise the made
+        operator is checked densely first, so the product raises exactly when
+        its record-free copy ``ProcessMatrix(w.layout, w.op)`` raises. A
+        built product with no merged record is read off its made operator."""
+        rec = w._factors.record if w._factors is not None else None
+        if rec is not None:
+            if not rec.checks_certain():
                 linalg.require_hermitian(linalg._require_finite(w.op))
-            return w._record
+            return rec
         a = linalg._require_finite(w.op)
         norm = linalg.frobenius(a)
         defect = linalg._check_hermitian(a, norm)

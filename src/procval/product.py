@@ -20,7 +20,8 @@ basis (:func:`procval.hsbasis._merge_rows`), and the eigenvalues, norm and
 trace multiply. That is the paper's product rule itself, so a built
 product, a fold and the blocking-pair search give one verdict, and no
 merge holds a ``dim²`` coefficient tensor. A product built by
-:func:`tensor_product` carries its merged record and makes its operator
+:func:`tensor_product` holds only its factors: its record is merged from
+theirs on first use, as a fold step merges them, and its operator is made
 only when ``op`` is read, so validating it extracts and eigendecomposes
 only its factors and, unless a factor is near its Hermiticity tolerance or
 the double range, never makes a ``dim²`` array. Its terms are listed in the
@@ -141,64 +142,49 @@ def _product_extremes(w: tuple[float, float],
     return min(products), max(products)
 
 
-def _interleaved(a: np.ndarray, b: np.ndarray, w_layout: PartyLayout,
-                 z_layout: PartyLayout, pairing: PartyPairing, copies: int) -> np.ndarray:
-    """The entries of ``a ⊗ b`` in the merged order, flat: ``a`` and ``b``
-    hold ``copies`` index sets of their factors' subsystems (2 for an
-    operator, rows then columns; 1 for a diagonal), and each merged
-    subsystem takes the first factor's index before the second's. One
-    multiply writes it, each operand transposed into the merged order and
+def _built(w: ProcessMatrix, z: ProcessMatrix, pairing: PartyPairing,
+           layout: PartyLayout) -> ProcessMatrix:
+    """The product operator of ``w`` and ``z`` in the merged ``layout``, read
+    only and holding no factors: each merged input and output holds the
+    first factor's subsystem before the second's. One multiply writes it,
+    each operator transposed into the merged order (rows, then columns) and
     broadcast across the other's axes; the entries are bit for bit those of
     ``np.kron`` reordered by :func:`linalg.permute_subsystems`. Overflow
     gives infinite entries without a warning; the finiteness check reports
     them."""
-    merged = _merged_subsystems(w_layout, z_layout, pairing)
+    merged = _merged_subsystems(w.layout, z.layout, pairing)
     n = len(merged)
-    x = a.reshape(w_layout.subsystem_dims() * copies).transpose(
-        [i + k * n for k in range(copies) for i, _ in merged])
-    y = b.reshape(z_layout.subsystem_dims() * copies).transpose(
-        [j + k * n for k in range(copies) for _, j in merged])
+    x = w.op.reshape(w.layout.subsystem_dims() * 2).transpose(
+        [i + k * n for k in (0, 1) for i, _ in merged])
+    y = z.op.reshape(z.layout.subsystem_dims() * 2).transpose(
+        [j + k * n for k in (0, 1) for _, j in merged])
     x = np.expand_dims(x, tuple(range(1, 2 * x.ndim, 2)))
     y = np.expand_dims(y, tuple(range(0, 2 * y.ndim, 2)))
     # A C-ordered output of the final shape: the reshape below copies nothing.
     out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(x, y, out=out)
-    return out.reshape(-1)
-
-
-def _built(w: ProcessMatrix, z: ProcessMatrix, pairing: PartyPairing,
-           layout: PartyLayout) -> ProcessMatrix:
-    """The product operator of ``w`` and ``z`` in the merged ``layout``, read
-    only and carrying nothing: each merged input and output holds the first
-    factor's subsystem before the second's."""
-    op = _interleaved(w.op, z.op, w.layout, z.layout, pairing, 2).reshape(layout.dim, layout.dim)
+    op = out.reshape(layout.dim, layout.dim)
     op.setflags(write=False)
     return ProcessMatrix(layout=layout, op=op)
 
 
 def _kept(p: ProcessMatrix) -> ProcessMatrix:
-    """What a built product keeps of a factor: a built product carrying its
-    record as it is (its operator is fixed), else a read-only copy, so that
-    a later change to the factor's operator does not reach the product."""
-    if p._record is not None:
+    """What a built product keeps of a factor: a built product as it is (its
+    operator is fixed), else a read-only copy, so that a later change to the
+    factor's operator does not reach the product."""
+    if p._factors is not None:
         return p
     op = p.op.copy()
     op.setflags(write=False)
     return ProcessMatrix(p.layout, op)
 
 
-def _diagonal(p: ProcessMatrix) -> np.ndarray:
-    """The diagonal of ``p.op``, made from the kept factors of a built
-    product that carries them."""
-    factors = p._record.factors if p._record is not None else None
-    return np.diagonal(p.op) if factors is None else factors.diagonal()
-
-
 @dataclass(frozen=True, eq=False)
 class _Factors:
     """The kept factors of a built product (:func:`_kept`) and how they
-    merge: enough to make the product's operator, once, when it is read."""
+    merge: all the product holds. Its record and its operator are made from
+    them, each once, on first use."""
 
     w: ProcessMatrix
     z: ProcessMatrix
@@ -209,43 +195,41 @@ class _Factors:
     def op(self) -> np.ndarray:
         return _built(self.w, self.z, self.pairing, self.layout).op
 
-    def diagonal(self) -> np.ndarray:
-        """The diagonal of :attr:`op`, bit for bit, without making it."""
-        return _interleaved(_diagonal(self.w), _diagonal(self.z), self.w.layout,
-                            self.z.layout, self.pairing, 1)
+    @cached_property
+    def record(self) -> FactorRecord | None:
+        """The factors' records merged as a fold step merges them
+        (:func:`_merge_records`; trace ``tr W · tr Z``), with these factors
+        to make the operator for an explicit term threshold. None when a
+        factor fails its checks or the merged record is not finite: the
+        product is then decided from its made operator."""
+        try:
+            rec = _merge_records(FactorRecord.of(self.w), FactorRecord.of(self.z),
+                                 self.pairing, self.layout)
+        except ValueError:
+            return None
+        return replace(rec, factors=self) if rec.finite() else None
 
 
 def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
                    pairing: PartyPairing | None = None) -> ProcessMatrix:
     """Kronecker product of two processes, reordered into the merged-party
     layout (first factor's subsystem before the second's within each merged
-    input and output). No term-rule check is performed here.
+    input and output). No term-rule check is performed here, and nothing is
+    extracted, eigendecomposed or merged.
 
-    The result carries its :class:`~procval.process.FactorRecord`, merged
-    now from the factors' records, which check each factor for finiteness
-    and Hermiticity: the term rows (the factors' terms multiplied out, in
-    the factors' product basis), the extreme eigenvalues, the norm
-    ``‖W‖_F ‖Z‖_F``, the trace summed over the product's diagonal in the
-    order ``op.trace()`` sums it, and a bound on the Hermiticity defect. It
-    keeps read-only copies of the factors' operators (a factor that is a
-    built product is kept as it is), and its read-only ``op`` is made from
-    them the first time it is read. When a factor fails a check (``(iH) ⊗
-    (iH)`` is Hermitian) or the merge overflows, the operator is made now and
-    the result carries nothing; it is then eigendecomposed and extracted
-    when validated."""
+    The result holds read-only copies of the factors' operators (a factor
+    that is a built product is kept as it is) and nothing else. Its record
+    is merged from the factors' records when it is first asked a question,
+    as a fold step merges them: the term rows (the factors' terms multiplied
+    out, in the factors' product basis), the extreme eigenvalues, the norm
+    ``‖W‖_F ‖Z‖_F``, the trace ``tr W · tr Z`` and a bound on the
+    Hermiticity defect. Its read-only ``op`` is made the first time it is
+    read. When a factor fails its finiteness or Hermiticity check (``(iH) ⊗
+    (iH)`` is Hermitian) or the merge overflows, the product has no merged
+    record and is eigendecomposed and extracted from its made operator."""
     pairing = _resolve_pairing(w.layout, z.layout, pairing)
     layout = combined_layout(w.layout, z.layout, pairing)
-    try:
-        rec = _merge_records(FactorRecord.of(w), FactorRecord.of(z), pairing, layout)
-    except ValueError:
-        return _built(w, z, pairing, layout)
-    factors = _Factors(_kept(w), _kept(z), pairing, layout)
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = float(factors.diagonal().sum().real)
-    rec = replace(rec, trace=trace, factors=factors)
-    if not rec.finite():
-        return _built(w, z, pairing, layout)
-    return ProcessMatrix._carrying(layout, rec)
+    return ProcessMatrix._carrying(layout, _Factors(_kept(w), _kept(z), pairing, layout))
 
 
 def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,

@@ -118,8 +118,10 @@ def product_terms(w_terms, z_terms, w_layout, z_layout, pairing=None):
 
 
 def _factors(p):
-    """The kept factors of a built product that carries them, else None."""
-    return p._record.factors if p._record is not None else None
+    """The kept factors of a built product whose record is merged from
+    theirs, else None."""
+    f = p._factors
+    return f if f is not None and f.record is not None else None
 
 
 def expansion(p, tol=None):

@@ -419,6 +419,37 @@ class TestGallery:
         assert err.value.code == 2
 
 
+class TestThresholdInput:
+    """``--tol`` and ``--threshold`` must be finite numbers >= 0: anything
+    else is an input error (exit 2), not a verdict."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command, option, name", [
+        ("validate", "--tol", "squared"), ("validate", "--tol", "twoway-d2"),
+        ("decompose", "--tol", "twoway-d2"), ("oracle", "--threshold", "twoway-d2"),
+        ("oracle", "--threshold", "nan")])
+    def test_bad_values_exit_two(self, docs, capsys, command, option, name, value):
+        assert main([command, docs[name], option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a finite number >= 0" in captured.err
+
+    def test_zero_tol_still_answers(self, docs, capsys):
+        assert main(["validate", docs["twoway-d2"], "--tol", "0"]) == 0
+        assert main(["validate", docs["squared"], "--tol", "0"]) == 1
+        assert main(["decompose", docs["twoway-d2"], "--tol", "0"]) == 0
+        assert main(["oracle", docs["twoway-d2"], "--threshold", "0"]) in (0, 1)
+        assert main(["oracle", docs["squared"], "--threshold", "1e-9"]) == 1
+
+    def test_explicit_default_tol_lists_the_default_terms(self, docs, capsys):
+        capsys.readouterr()
+        assert main(["validate", docs["squared"], "--json"]) == 1
+        default = json.loads(capsys.readouterr().out)
+        assert main(["validate", docs["squared"], "--tol", "1e-9", "--json"]) == 1
+        explicit = json.loads(capsys.readouterr().out)
+        assert explicit["forbidden_terms"] == default["forbidden_terms"]
+
+
 def test_library_key_error_is_not_an_input_error(docs, monkeypatch):
     """Only errors in the input map to exit 2; a KeyError raised inside a
     library call is a fault of the program and propagates."""

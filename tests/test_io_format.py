@@ -655,6 +655,13 @@ def read_and_write_dim_81(flat, decoded, formatted, numbered):
     return len(distinct_lines(text)), counts, lengths, written, split
 
 
+def mostly_distinct_blocks(flat):
+    """Whether more than half of the ``_BLOCK``-entry blocks of ``flat``
+    are distinct: a reader or writer that has keyed them then gives up."""
+    blocks = [flat[s:s + R].tobytes() for s in range(0, flat.size, R)]
+    return 2 * len(set(blocks)) > len(blocks)
+
+
 @pytest.mark.parametrize("first_repeat", [1, 3119, 3120, 3121, 4095, 4096, 6000])
 def test_repeats_that_start_at_the_first_piece_ends(first_repeat, decoded, formatted,
                                                     numbered):
@@ -663,50 +670,62 @@ def test_repeats_that_start_at_the_first_piece_ends(first_repeat, decoded, forma
     bytes of entry lines for the reader (its first 3120 lines here) and of
     ``_LOOK // 16`` entries for the writer. A repeat inside it has the
     lines keyed block by block, splitting only the lines of the distinct
-    blocks, and each distinct entry decoded or formatted once; a later one
-    leaves them to the whole block, to the same values and bytes."""
+    blocks, and each distinct entry decoded or formatted once, unless more
+    than half of the 206 blocks are distinct (from ``first_repeat`` 3300 on,
+    so at 4095 for the writer); a later one leaves them to the whole block,
+    to the same values and bytes."""
     flat = np.full(81 * 81, 9999.5, dtype=np.complex128)
     flat[:first_repeat - 1] = np.arange(first_repeat - 1) + 1000.5
     m, counts, lengths, written, split = read_and_write_dim_81(flat, decoded, formatted,
                                                                numbered)
+    keyed = not mostly_distinct_blocks(flat)
     if 21 * (first_repeat + 1) <= io_format._LOOK:
-        assert m == first_repeat and lengths == [2 * m]
+        assert keyed and m == first_repeat and lengths == [2 * m]
         assert counts == [206, split] and split < 81 * 81
     else:
         assert counts == [] and lengths == [2 * 81 * 81]
-    assert written == (m if first_repeat < io_format._LOOK // 16 else 81 * 81)
+    assert keyed == (first_repeat < 3300)
+    assert written == (m if first_repeat < io_format._LOOK // 16 and keyed else 81 * 81)
 
 
-@pytest.mark.parametrize("start", [R * 40, R * 40 + 13, 81 * 81 - 1])
+@pytest.mark.parametrize("start", [R * 40, R * 40 + 13, R * 104, R * 104 + 1, 81 * 81 - 1])
 def test_repeats_that_start_in_a_block(start, decoded, formatted, numbered):
     """The first 100 lines repeat one line, so the first look sees a repeat.
     Later lines are distinct up to line ``start`` and repeat the first line
     from there on: from a block's first line, from mid-block, or in the
-    short last block only. Blocks that repeat are split once; each
-    distinct line is decoded once and each distinct entry formatted once."""
+    short last block only. While at most half of the 206 blocks are
+    distinct (103 at ``R * 104``), blocks that repeat are split once,
+    each distinct line is decoded once and each distinct entry formatted
+    once. With more (104 at ``R * 104 + 1``, 204 at the end), the blocks are
+    keyed and the lines left to the whole decode and the per-entry format."""
     flat = np.arange(81 * 81) + 1000.5 + 0j
     flat[:100] = flat[start:] = 9999.5
     m, counts, lengths, written, split = read_and_write_dim_81(flat, decoded, formatted,
                                                                numbered)
-    assert m == start - 99 and lengths == [2 * m] and written == m
-    assert counts == [206, split]
-    # split: block 0 (blocks 1 and 2 repeat it), each block from line 96 to
-    # the one that holds line start - 1, and the short last block
-    assert split == R + (start - 3 * R) + (start % R > 0) * (R - start % R) + 1
+    assert m == start - 99
+    if start <= R * 104:
+        assert not mostly_distinct_blocks(flat)
+        assert lengths == [2 * m] and written == m and counts == [206, split]
+        # split: block 0 (blocks 1 and 2 repeat it), each block from line 96
+        # to the one that holds line start - 1, and the short last block
+        assert split == R + (start - 3 * R) + (start % R > 0) * (R - start % R) + 1
+    else:
+        assert mostly_distinct_blocks(flat)
+        assert lengths == [2 * 81 * 81] and written == 81 * 81 and counts == [206]
 
 
 def test_distinct_lines_after_repeated_ones(decoded, formatted, numbered):
     """The first 100 lines repeat, all later ones are distinct. The first
-    look sees the repeat, so the reader keys block by block to the end and
-    splits every block but the two that repeat the first; each distinct line
-    is still decoded once and each distinct entry formatted once, to the same
-    values and bytes."""
+    look sees the repeat, so the reader keys the 206 blocks; 204 of them are
+    distinct, more than half, so it splits none of them and decodes the
+    lines whole, and the writer formats every entry, to the same values and
+    bytes."""
     flat = np.arange(81 * 81) + 1000.5 + 0j
     flat[:100] = 9999.5
     m, counts, lengths, written, split = read_and_write_dim_81(flat, decoded, formatted,
                                                                numbered)
-    assert m == 81 * 81 - 99 and lengths == [2 * m] and written == m
-    assert counts == [206, 81 * 81 - 2 * R] and split == 81 * 81 - 2 * R
+    assert m == 81 * 81 - 99 and split == 81 * 81 - 2 * R
+    assert counts == [206] and lengths == [2 * 81 * 81] and written == 81 * 81
 
 
 @pytest.mark.parametrize("name", ["product-256", "twoway-d3"])

@@ -215,6 +215,36 @@ class TestForbiddenTerms:
             self.assert_built_matches_loop(p)
 
 
+class TestTermThresholdInput:
+    """An explicit term threshold must be a finite number >= 0: NaN keeps no
+    term and passes an invalid product, a negative one lists every zero
+    coefficient. Each entry point raises the one ``ValueError``."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0, -0.5e-300])
+    def test_rejected_everywhere(self, bad):
+        w = twoway_channel_process(2)
+        squared = tensor_product(w, w)
+        calls = [lambda: is_valid_process(w, Tolerances(term=bad)),
+                 lambda: is_valid_process(squared, Tolerances(term=bad)),
+                 lambda: find_blocking_pairs(w, w, tol=bad),
+                 lambda: find_blocking_pairs(squared, w, tol=bad),
+                 lambda: hsbasis.decompose(w.op, w.layout.subsystem_dims(), tol=bad),
+                 lambda: w.terms(tol=bad)]
+        for call in calls:
+            with pytest.raises(ValueError, match="term threshold must be a finite number >= 0"):
+                call()
+
+    def test_zero_and_the_default_still_work(self):
+        w = twoway_channel_process(2)
+        squared = tensor_product(w, w)
+        assert is_valid_process(w, Tolerances(term=0.0)).verdict is True
+        assert is_valid_process(w, Tolerances(term=0)).verdict is True
+        assert is_valid_process(squared, Tolerances(term=0.0)).verdict is False
+        assert find_blocking_pairs(w, w, tol=0.0).verdict is False
+        assert hsbasis.decompose(w.op, w.layout.subsystem_dims(), tol=0.0) == w.terms()
+        assert is_valid_process(squared, Tolerances()).verdict is False
+
+
 class TestToleranceEdge:
     """``is_valid_process``, ``find_blocking_pairs`` and ``check_sequence``
     flip together at 0.5x and 2x of each default threshold of
