@@ -7,13 +7,15 @@ this reproduces the Pauli matrices {I, X, Y, Z} exactly. Index ordering within
 each dimension: identity, then symmetric (X-like) elements by (row, col), then
 antisymmetric (Y-like) by (row, col), then diagonal (Z-like) ones.
 
-The term rows of a tensor product are its factors' term rows multiplied
-out, in the factors' product basis: a merged subsystem made of subsystem
-``p`` of one factor and ``q`` of the other has the elements ``s_i x s_j``,
-index ``i * d_q**2 + j``. That basis is orthogonal, with the identity at
-index 0 and traceless elements elsewhere, so the term rule reads it as it
-reads the Gell-Mann basis of the merged dimension; the listings differ,
-since an extraction of the product operator expands it over the latter.
+The term rows of a tensor product are made from its factors' term rows
+multiplied out, in the factors' product basis: a merged subsystem made of
+subsystem ``p`` of one factor and ``q`` of the other has the elements
+``s_i x s_j``, index ``i * d_q**2 + j``. That basis is orthogonal, with the
+identity at index 0 and traceless elements elsewhere, so the term rule
+reads it as it reads the Gell-Mann basis of the merged dimension; the
+listings differ, since an extraction of the product operator expands it
+over the latter. A merged record keeps one of those rows per tag pattern
+(:func:`procval.product._merge_records`).
 """
 
 from __future__ import annotations
@@ -160,12 +162,6 @@ def _term_rows(coeffs: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.nd
     return np.argwhere(kept), coeffs[kept]
 
 
-# Largest number of entries (rows times their width) a merge may hold, 32 MB
-# per int64 array; a merge holds a few such arrays. A fold that needs more
-# fails with an error instead of exhausting memory.
-MAX_MERGE_ENTRIES = 2**22
-
-
 def _merge_rows(w: tuple[np.ndarray, np.ndarray], z: tuple[np.ndarray, np.ndarray],
                 w_dims: Sequence[int], z_dims: Sequence[int],
                 pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -175,17 +171,14 @@ def _merge_rows(w: tuple[np.ndarray, np.ndarray], z: tuple[np.ndarray, np.ndarra
     subsystem ``p = pairs[k][0]`` of ``W`` times ``q = pairs[k][1]`` of
     ``Z``, and its index ``i * d_q**2 + j`` names ``s_i x s_j`` of the
     factors' bases. Nothing is pruned, so a row exists exactly when both
-    factor rows do, and a non-finite coefficient is kept for the caller."""
+    factor rows do, and a non-finite coefficient is kept for the caller.
+    A merged subsystem whose indices would not fit int64 raises."""
     (w_idx, w_val), (z_idx, z_val) = w, z
     size = max((w_dims[p] * z_dims[q]) ** 2 for p, q in pairs)
     if size > 2**63:
         raise ValueError(f"a merged subsystem of dim {math.isqrt(size)} has more "
                          "basis elements than int64 indices hold")
-    total = len(w_val) * len(z_val)
-    if total * len(pairs) > MAX_MERGE_ENTRIES:
-        raise ValueError(f"a merge step would hold {total} rows of {len(pairs)} entries, "
-                         f"more than {MAX_MERGE_ENTRIES}")
-    rw, rz = np.divmod(np.arange(total), len(z_val))
+    rw, rz = np.divmod(np.arange(len(w_val) * len(z_val)), len(z_val))
     cols = [w_idx[rw, p] * z_dims[q] ** 2 + z_idx[rz, q] for p, q in pairs]
     order = np.lexsort(cols[::-1])
     return np.stack(cols, axis=-1)[order], (w_val[rw] * z_val[rz])[order]

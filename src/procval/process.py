@@ -241,8 +241,10 @@ class ValidityReport:
     ``forbidden_terms`` lists the terms that break the term rule, with their
     signatures: over the Gell-Mann basis of each subsystem for an extracted
     operator, and over the factors' product basis for a built product's
-    merged record (an explicit term threshold extracts its made operator,
-    so its terms are then over the Gell-Mann basis too)."""
+    merged record, which holds one term per tag pattern, so the list names
+    one term for each forbidden pattern (an explicit term threshold
+    extracts its made operator, so its terms are then over the Gell-Mann
+    basis too)."""
 
     verdict: bool
     psd_defect: float
@@ -270,16 +272,27 @@ def _tag_patterns(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, 
     lexicographic order) and ``values`` grouped by tag pattern: their basis
     indices and coefficients, the distinct patterns (a row of PartyTag values
     each, parties in layout order), and the row of each term's pattern."""
-    n_sub = indices.shape[1]
-    # One code per term: bit k is set when subsystem k is not the identity,
-    # so party p's tag is bits 2p and 2p+1 (a record's subsystems are those of
-    # an extracted tensor: numpy's 64 axes fit 64 bits).
-    codes = (indices != 0) @ (np.uint64(1) << np.arange(n_sub, dtype=np.uint64))
+    codes = _pattern_codes(indices)
     keep = codes != 0
-    codes = codes[keep]
-    patterns = np.unique(codes)
-    tags = (patterns[:, None] >> np.arange(0, n_sub, 2, dtype=np.uint64)) & np.uint64(3)
-    return indices[keep], values[keep], tags.astype(np.int8), np.searchsorted(patterns, codes)
+    patterns, group = np.unique(codes[keep], return_inverse=True)
+    tags = (patterns[:, None] >> np.arange(0, indices.shape[1], 2, dtype=np.uint64)) & np.uint64(3)
+    return indices[keep], values[keep], tags.astype(np.int8), group
+
+
+def _pattern_codes(indices: np.ndarray) -> np.ndarray:
+    """One tag-pattern code per term row: bit k is set when subsystem k is
+    not the identity, so party p's tag is bits 2p and 2p+1 and the trivial
+    term's code is 0 (a record's subsystems are those of an extracted
+    tensor: numpy's 64 axes fit 64 bits)."""
+    return (indices != 0) @ (np.uint64(1) << np.arange(indices.shape[1], dtype=np.uint64))
+
+
+def _first_of_each_pattern(indices: np.ndarray, values: np.ndarray) -> tuple:
+    """The first of the term rows ``indices``/``values`` with each tag
+    pattern (:func:`_pattern_codes`), the trivial one included, in their
+    order: a merged record's rows."""
+    first = np.sort(np.unique(_pattern_codes(indices), return_index=True)[1])
+    return indices[first], values[first]
 
 
 def _checked_rows(w: ProcessMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +333,8 @@ class FactorRecord:
     a tensor product, built or folded, is merged from its factors' records
     in :mod:`procval.product` and never holds a coefficient tensor: its rows
     are the factors' rows multiplied out, over the factors' product basis
-    (:func:`hsbasis._merge_rows`), its norm and trace are the products of
+    (:func:`hsbasis._merge_rows`), one per tag pattern
+    (:func:`_first_of_each_pattern`), its norm and trace are the products of
     the factors' and its ``defect`` a bound on the product's. An explicit term
     threshold reads the coefficient tensor instead of the rows, over the
     Gell-Mann basis: ``tensor`` when :meth:`of` extracted it, else one

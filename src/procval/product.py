@@ -14,12 +14,15 @@ to a :class:`~procval.process.FactorRecord` (term rows, extreme eigenvalues,
 Frobenius norm, trace), which :func:`~procval.process.is_valid_process` also
 reads, and its nontrivial terms are grouped once by tag pattern; the
 blocking-pair search and the two-party shortcut read those patterns. A
-product's record is merged from its factors' records: its terms are the
-factors' kept terms multiplied out, one per pair, in the factors' product
-basis (:func:`procval.hsbasis._merge_rows`), and the eigenvalues, norm and
-trace multiply. That is the paper's product rule itself, so a built
-product, a fold and the blocking-pair search give one verdict, and no
-merge holds a ``dim²`` coefficient tensor. A product built by
+product's record is merged from its factors' records: the first term of
+each tag pattern of each factor, multiplied out in the factors' product
+basis (:func:`procval.hsbasis._merge_rows`), of which it keeps the first
+term of each merged pattern, and the eigenvalues, norm and trace multiply.
+The patterns of a product are exactly the ORs of a pattern of each factor,
+which is the paper's product rule itself, so a built product, a fold and
+the blocking-pair search give one verdict. A merged record holds at most
+one term per pattern (16 for two qubit parties), never a ``dim²``
+coefficient tensor, however many factors it folds. A product built by
 :func:`tensor_product` holds only its factors: its record is merged from
 theirs on first use, as a fold step merges them, and its operator is made
 only when ``op`` is read, so validating it extracts and eigendecomposes
@@ -51,6 +54,7 @@ from .process import (
     ProcessMatrix,
     _allowed,
     _checked_rows,
+    _first_of_each_pattern,
     _signalling,
     _tag_patterns,
     _term,
@@ -169,6 +173,13 @@ def _built(w: ProcessMatrix, z: ProcessMatrix, pairing: PartyPairing,
     return ProcessMatrix(layout=layout, op=op)
 
 
+def _each_once(reduce, ps: Sequence[ProcessMatrix]) -> list:
+    """``reduce(p)`` for each of ``ps``, computed once per distinct object,
+    so that a process asked against itself is reduced once."""
+    done = {id(p): reduce(p) for p in {id(p): p for p in ps}.values()}
+    return [done[id(p)] for p in ps]
+
+
 def _kept(p: ProcessMatrix) -> ProcessMatrix:
     """What a built product keeps of a factor: a built product as it is (its
     operator is fixed), else a read-only copy, so that a later change to the
@@ -203,7 +214,7 @@ class _Factors:
         factor fails its checks or the merged record is not finite: the
         product is then decided from its made operator."""
         try:
-            rec = _merge_records(FactorRecord.of(self.w), FactorRecord.of(self.z),
+            rec = _merge_records(*_each_once(FactorRecord.of, (self.w, self.z)),
                                  self.pairing, self.layout)
         except ValueError:
             return None
@@ -218,35 +229,42 @@ def tensor_product(w: ProcessMatrix, z: ProcessMatrix,
     extracted, eigendecomposed or merged.
 
     The result holds read-only copies of the factors' operators (a factor
-    that is a built product is kept as it is) and nothing else. Its record
-    is merged from the factors' records when it is first asked a question,
-    as a fold step merges them: the term rows (the factors' terms multiplied
-    out, in the factors' product basis), the extreme eigenvalues, the norm
-    ``‖W‖_F ‖Z‖_F``, the trace ``tr W · tr Z`` and a bound on the
-    Hermiticity defect. Its read-only ``op`` is made the first time it is
-    read. When a factor fails its finiteness or Hermiticity check (``(iH) ⊗
-    (iH)`` is Hermitian) or the merge overflows, the product has no merged
-    record and is eigendecomposed and extracted from its made operator."""
+    that is a built product is kept as it is, and ``tensor_product(w, w)``
+    keeps one copy for both sides) and nothing else. Its record is merged
+    from the factors' records when it is first asked a question, as a fold
+    step merges them: the term rows (the factors' terms multiplied out, in
+    the factors' product basis, one per tag pattern), the extreme
+    eigenvalues, the norm ``‖W‖_F ‖Z‖_F``, the trace ``tr W · tr Z`` and a
+    bound on the Hermiticity defect. Its read-only ``op`` is made the first
+    time it is read. When a factor fails its finiteness or Hermiticity
+    check (``(iH) ⊗ (iH)`` is Hermitian) or the merge overflows, the product
+    has no merged record and is eigendecomposed and extracted from its made
+    operator."""
     pairing = _resolve_pairing(w.layout, z.layout, pairing)
     layout = combined_layout(w.layout, z.layout, pairing)
-    return ProcessMatrix._carrying(layout, _Factors(_kept(w), _kept(z), pairing, layout))
+    return ProcessMatrix._carrying(layout, _Factors(*_each_once(_kept, (w, z)), pairing, layout))
 
 
 def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
                    layout: PartyLayout) -> FactorRecord:
     """Record of the tensor product of two records in the merged ``layout``,
-    without building the product operator: its term rows are the factors'
-    rows multiplied out, in the factors' product basis
-    (:func:`procval.hsbasis._merge_rows`). Its entries may overflow;
+    without building the product operator. Its term rows are one per tag
+    pattern: the first row of each pattern of each factor (the trivial row
+    included) multiplied out, in the factors' product basis
+    (:func:`procval.hsbasis._merge_rows`), and of those the first row of
+    each merged pattern. Nothing is pruned, so its patterns are exactly the
+    ORs of a pattern of each factor, those of every pair of rows multiplied
+    out. Its entries may overflow;
     the caller checks them. Its ``defect`` bounds the product's entrywise
     Hermiticity defect: ``|w_ij z_kl − conj(w_ji z_lk)|`` is at most
     ``δ_W |z_kl| + |w_ji| δ_Z``, each entry is at most the norm, and the
     last term covers the rounding of the product's entries and norm."""
     lam_min, lam_max = _product_extremes((w.lam_min, w.lam_max), (z.lam_min, z.lam_max))
     with np.errstate(over="ignore", invalid="ignore"):
-        indices, values = hsbasis._merge_rows(
-            (w.indices, w.values), (z.indices, z.values), w.layout.subsystem_dims(),
-            z.layout.subsystem_dims(), _merged_subsystems(w.layout, z.layout, pairing))
+        indices, values = _first_of_each_pattern(*hsbasis._merge_rows(
+            _first_of_each_pattern(w.indices, w.values),
+            _first_of_each_pattern(z.indices, z.values), w.layout.subsystem_dims(),
+            z.layout.subsystem_dims(), _merged_subsystems(w.layout, z.layout, pairing)))
     return FactorRecord(
         layout=layout,
         indices=indices,
@@ -268,7 +286,9 @@ class ProductReport:
     pair's unordered tag-code pair on each merged party. A factor's terms are
     over the Gell-Mann basis of its subsystems when it is extracted, and over
     its own factors' product basis when it is a built product or a fold's
-    accumulated product (unless an explicit ``tol`` extracts it). ``w_valid``/
+    accumulated product (unless an explicit ``tol`` extracts it); such a
+    merged record holds one term per tag pattern, so its side of the
+    listing names that term for each pattern. ``w_valid``/
     ``z_valid`` record whether the inputs were themselves valid processes —
     the verdict only speaks for the term rule of the product when they are.
     """
@@ -330,7 +350,7 @@ def find_blocking_pairs(w: ProcessMatrix, z: ProcessMatrix,
     default-tolerance verdicts of :func:`~procval.process.is_valid_process`.
     """
     pairing = _resolve_pairing(w.layout, z.layout, pairing)
-    return _report(FactorRecord.of(w), FactorRecord.of(z), pairing, tol)
+    return _report(*_each_once(FactorRecord.of, (w, z)), pairing, tol)
 
 
 def two_party_product_invalid(w: ProcessMatrix, z: ProcessMatrix) -> bool:
@@ -344,7 +364,7 @@ def two_party_product_invalid(w: ProcessMatrix, z: ProcessMatrix) -> bool:
     for p in (w, z):
         if p.layout.n_parties != 2:
             raise ValueError("this check applies to two-party processes only")
-    return _closes_loop(*(_tag_patterns(*_checked_rows(p)) for p in (w, z)))
+    return _closes_loop(*_each_once(lambda p: _tag_patterns(*_checked_rows(p)), (w, z)))
 
 
 def _closes_loop(w_patterns: tuple, z_patterns: tuple) -> bool:
@@ -460,38 +480,37 @@ def check_sequence(ps: Sequence[ProcessMatrix],
 
     No product operator is built or eigendecomposed. Each distinct input is
     reduced once to a :class:`~procval.process.FactorRecord`, and the
-    accumulated product's record is merged row by row from its factors'
-    records, so ``w_valid`` of step k is decided from the factors alone, and
-    the accumulated product's terms in step k's blocking pairs are its
-    factors' terms multiplied out, in their product basis. The fold has no
-    size cap: its cost follows the number of kept terms (the product of the
-    factors' counts), not the product's dimension. A fold whose merged
-    record has a non-finite row, extreme, norm or trace raises at that step.
+    accumulated product's record is merged from its factors' records, so
+    ``w_valid`` of step k is decided from the factors alone. The accumulated
+    product's terms in step k's blocking pairs are its factors' terms
+    multiplied out, in their product basis, one per tag pattern. The fold
+    has no size cap: a merged record holds at most one row per pattern, so
+    its cost follows the number of parties and factors, not the product's
+    dimension. A merged subsystem past dim ``2**31.5``, whose basis indices
+    would not fit int64, raises, as does a fold whose merged record has a
+    non-finite row, extreme, norm or trace, at that step.
     """
     if len(ps) < 2:
         raise ValueError("need at least two processes to form a product")
     if pairings is not None and len(pairings) != len(ps) - 1:
         raise ValueError(f"expected {len(ps) - 1} pairings, got {len(pairings)}")
 
-    records = {id(p): FactorRecord.of(p) for p in {id(p): p for p in ps}.values()}
+    records = _each_once(FactorRecord.of, ps)
     steps: list[ProductReport] = []
-    first_bad: int | None = None
-    acc = records[id(ps[0])]
-    for k, nxt in enumerate(ps[1:]):
-        rec = records[id(nxt)]
+    acc = records[0]
+    for k, rec in enumerate(records[1:]):
         pairing = _resolve_pairing(acc.layout, rec.layout,
                                    pairings[k] if pairings is not None else None)
         report = _report(acc, rec, pairing, tol=None)
         steps.append(report)
-        if not report.verdict and first_bad is None:
-            first_bad = k
         if k + 2 < len(ps):
             acc = _merge_records(acc, rec, pairing, report.layout)
             if not acc.finite():
                 raise ValueError(f"step {k + 1}: the product of the first {k + 2} factors "
                                  "has a non-finite entry")
+    first_bad = next((k for k, s in enumerate(steps) if not s.verdict), None)
     return SequenceReport(
-        verdict=all(s.verdict for s in steps),
+        verdict=first_bad is None,
         steps=tuple(steps),
         first_invalid_step=first_bad,
     )

@@ -117,6 +117,34 @@ def product_terms(w_terms, z_terms, w_layout, z_layout, pairing=None):
     return sorted(out, key=lambda t: t.indices)
 
 
+def first_of_each_pattern(terms, layout):
+    """Term-by-term reference for the rows a merged record keeps of a term
+    list: the first term with each tag pattern (``classify_term``'s tags on
+    every party), the trivial term included, in their order."""
+    from procval import classify_term
+
+    seen, out = set(), []
+    for term in terms:
+        tags = classify_term(term, layout).tags
+        if tags not in seen:
+            seen.add(tags)
+            out.append(term)
+    return out
+
+
+def merged_terms(w_terms, z_terms, w_layout, z_layout, pairing=None):
+    """Term-by-term reference for a merged record's rows: the first term of
+    each pattern of each factor (:func:`first_of_each_pattern`), multiplied
+    out (:func:`product_terms`), and then the first of each merged pattern."""
+    from procval import PartyPairing
+    from procval.product import combined_layout
+
+    pairing = pairing or PartyPairing.positional(w_layout, z_layout)
+    return first_of_each_pattern(product_terms(
+        first_of_each_pattern(w_terms, w_layout), first_of_each_pattern(z_terms, z_layout),
+        w_layout, z_layout, pairing), combined_layout(w_layout, z_layout, pairing))
+
+
 def _factors(p):
     """The kept factors of a built product whose record is merged from
     theirs, else None."""
@@ -127,12 +155,12 @@ def _factors(p):
 def expansion(p, tol=None):
     """Term-by-term reference for the terms procval reads off ``p``: the
     extraction ``p.terms(tol)``, except that a built product carrying its
-    factors lists, at the default threshold, its factors' expansions
-    multiplied out (:func:`product_terms`)."""
+    factors lists, at the default threshold, its factors' expansions merged
+    (:func:`merged_terms`)."""
     f = _factors(p)
     if f is None or tol is not None:
         return p.terms(tol=tol)
-    return product_terms(expansion(f.w), expansion(f.z), f.w.layout, f.z.layout, f.pairing)
+    return merged_terms(expansion(f.w), expansion(f.z), f.w.layout, f.z.layout, f.pairing)
 
 
 def basis_element(p, k: int, i: int) -> np.ndarray:
@@ -152,19 +180,16 @@ def basis_element(p, k: int, i: int) -> np.ndarray:
     return np.kron(basis_element(f.w, kw, i // dq2), basis_element(f.z, kz, i % dq2))
 
 
-def rows_operator(p) -> np.ndarray:
-    """``sum c * (s_I)`` over the term rows of ``p``'s record, each basis
-    element made term by term with :func:`basis_element`."""
+def basis_coefficient(p, indices) -> float:
+    """The coefficient of ``p.op`` on the basis element ``s_I`` with these
+    indices (:func:`basis_element` on each subsystem): ``tr(s_I op) / dim``,
+    since ``tr(s_I s_I) = dim`` in both the Gell-Mann and the factors'
+    product basis."""
     import functools
 
-    from procval.process import FactorRecord
-
-    rec = FactorRecord.of(p)
-    total = np.zeros((p.dim, p.dim), dtype=np.complex128)
-    for idx, c in zip(rec.indices.tolist(), rec.values):
-        total += c * functools.reduce(
-            np.kron, [basis_element(p, k, i) for k, i in enumerate(idx)], np.ones((1, 1)))
-    return total
+    s = functools.reduce(np.kron, [basis_element(p, k, i) for k, i in enumerate(indices)],
+                         np.ones((1, 1)))
+    return float(np.vdot(s, p.op).real) / p.dim
 
 
 def term_blocking_pairs(w_terms, z_terms, w_layout, z_layout, pairing=None):
@@ -203,14 +228,17 @@ def loop_blocking_pairs(w, z, pairing=None, tol=None):
         expansion(w, tol), expansion(z, tol), w.layout, z.layout, pairing)]
 
 
-def fold_blocking_pairs(ps, pairings=None):
+def fold_blocking_pairs(ps, pairings=None, full=False):
     """Term-by-term reference for the listings of ``check_sequence``: per
     step, :func:`term_blocking_pairs` of the accumulated product's terms
-    (the expansions of the factors so far, multiplied out) and the next
-    factor's. No product is built."""
+    (the expansions of the factors so far, merged by :func:`merged_terms`)
+    and the next factor's. With ``full``, the accumulated product holds
+    every pair of terms multiplied out (:func:`product_terms`). No product
+    is built."""
     from procval import PartyPairing
     from procval.product import combined_layout
 
+    merge = product_terms if full else merged_terms
     terms, layout = expansion(ps[0]), ps[0].layout
     steps = []
     for k, nxt in enumerate(ps[1:]):
@@ -219,7 +247,7 @@ def fold_blocking_pairs(ps, pairings=None):
         nxt_terms = expansion(nxt)
         steps.append(term_blocking_pairs(terms, nxt_terms, layout, nxt.layout, pairing))
         if k + 2 < len(ps):
-            terms = product_terms(terms, nxt_terms, layout, nxt.layout, pairing)
+            terms = merge(terms, nxt_terms, layout, nxt.layout, pairing)
             layout = combined_layout(layout, nxt.layout, pairing)
     return steps
 

@@ -1,6 +1,7 @@
 """Tests for party merging, tensor products and the blocking-pair decision."""
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from procval import (
     ProcessMatrix,
     Tolerances,
     check_sequence,
+    classify_term,
     find_blocking_pairs,
     gallery_entry,
     hsbasis,
@@ -35,6 +37,7 @@ from procval.hsbasis import HSTerm
 from procval.process import _PRODUCT_ROUNDING, FactorRecord
 from procval.product import (
     _built,
+    combined_layout,
     _merge_records,
     _merge_weights,
     _merged_subsystems,
@@ -45,18 +48,20 @@ from procval.product import (
 
 from helpers import (
     BASE_NAMES,
+    basis_coefficient,
     bipartite_qubit_suite,
     cyclic_triple,
     dense_forbidden_weight,
     dense_product,
     expansion,
+    first_of_each_pattern,
     fold_blocking_pairs,
     loop_blocking_pairs,
     loop_forbidden_terms,
+    merged_terms,
     product_terms,
     random_hermitian,
     record_eigvalsh_dims,
-    rows_operator,
     suite_pairs,
 )
 
@@ -372,24 +377,24 @@ class TestCheckSequence:
 
     def test_five_twoway_factors(self):
         """The fold of five ``twoway-d2`` merges a record of dim 65536 before
-        its last step, and each step adds blocking pairs: the accumulated
-        product holds ``3**k`` terms, its factors' three multiplied out."""
+        its last step. The accumulated product keeps one term per tag
+        pattern, so from the second step on each step lists 4 blocking
+        pairs, as the term-by-term reference does."""
         w = twoway_channel_process(2)
         report = check_sequence([w] * 5)
         assert report.first_invalid_step == 0
-        assert [len(step.blocking_pairs) for step in report.steps] == [2, 10, 38, 130]
+        assert [len(step.blocking_pairs) for step in report.steps] == [2, 4, 4, 4]
         assert report.steps[0].w_valid and not report.steps[1].w_valid
         assert_listings_match(report, [w] * 5)
 
     def test_eight_twoway_factors(self):
         """``[twoway-d2]*8`` is decided: its accumulated product before the
-        last step (dim 16**7) holds 3**7 terms, and every step lists the
-        reference's blocking pairs."""
+        last step (dim 16**7) holds one term per tag pattern, and every step
+        lists the reference's blocking pairs."""
         w = twoway_channel_process(2)
         report = check_sequence([w] * 8)
         assert report.verdict is False and report.first_invalid_step == 0
-        assert [len(step.blocking_pairs) for step in report.steps] == [
-            2, 10, 38, 130, 422, 1330, 4118]
+        assert [len(step.blocking_pairs) for step in report.steps] == [2, 4, 4, 4, 4, 4, 4]
         assert report.steps[0].w_valid
         assert not any(step.w_valid for step in report.steps[1:])
         assert all(step.z_valid for step in report.steps)
@@ -483,6 +488,59 @@ class TestSequenceMatchesDenseProducts:
             assert_fold_matches_dense([first, twice, twice], pairings=[ROTATED, other])
 
 
+class TestOneTermPerPattern:
+    """A merged record keeps one term per tag pattern, so a fold's listings
+    stop growing with its length. Its verdicts read only which patterns are
+    present, so they are those of the full term-by-term reference, whose
+    accumulated product holds every pair of terms multiplied out."""
+
+    @staticmethod
+    def assert_verdicts_match_full(ps, valid):
+        """``check_sequence(ps)``'s verdict, first invalid step, and each
+        step's verdict and ``w_valid`` against ``fold_blocking_pairs(ps,
+        full=True)`` and the full accumulated terms. ``valid[k]`` is whether
+        ``ps[k]`` is a valid process."""
+        report = check_sequence(ps)
+        listings = fold_blocking_pairs(ps, full=True)
+        terms, layout = ps[0].terms(), ps[0].layout
+        for k, (step, listing, nxt) in enumerate(zip(report.steps, listings, ps[1:])):
+            assert step.verdict == (not listing)
+            assert step.w_valid == (all(valid[:k + 1]) and all(
+                classify_term(t, layout).is_allowed() for t in terms))
+            if k + 2 < len(ps):
+                terms = product_terms(terms, nxt.terms(), layout, nxt.layout)
+                layout = combined_layout(layout, nxt.layout,
+                                         PartyPairing.positional(layout, nxt.layout))
+        first = next((k for k, listing in enumerate(listings) if listing), None)
+        assert report.first_invalid_step == first
+        assert report.verdict == (first is None)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_twoway_folds(self, k):
+        self.assert_verdicts_match_full([twoway_channel_process(2)] * k, [True] * k)
+
+    def test_every_ordered_qubit_quadruple(self):
+        procs = [gallery_entry(n).process for n in BASE_NAMES]
+        valid = {id(p): is_valid_process(p).verdict for p in procs}
+        for quadruple in itertools.product(procs, repeat=4):
+            self.assert_verdicts_match_full(list(quadruple), [valid[id(p)] for p in quadruple])
+
+    def test_thirty_one_twoway_factors(self):
+        """``[twoway-d2]*31``: no row budget refuses it (one with 14 factors
+        was refused when merged records held every pair of rows). Each
+        listing holds at most 16 x 3 pairs, the two-party patterns of the
+        accumulated product against the factor's nontrivial terms."""
+        w = twoway_channel_process(2)
+        start = time.perf_counter()
+        report = check_sequence([w] * 31)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, elapsed
+        assert report.verdict is False and report.first_invalid_step == 0
+        assert len(report.steps) == 30
+        assert all(len(step.blocking_pairs) <= 16 * 3 for step in report.steps)
+        assert not any(step.w_valid for step in report.steps[1:])
+
+
 class TestCyclicTriple:
     """The loop X→Y→Z→X closes only with all three factors. The built triple
     (dim 4096) is left out here, since extracting its record-free copy takes
@@ -544,14 +602,15 @@ class TestFactorRecord:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(_factor_pairs())
     def test_merge_equals_built_product(self, case):
-        """Merged rows are the factors' rows multiplied out: the rows of the
-        term-by-term reference ``product_terms``, bit for bit. The built
-        product carries those rows and the merged extremes, and its verdict
-        is that of its record-free copy, which is extracted."""
+        """Merged rows are the factors' first rows of each pattern
+        multiplied out, one per merged pattern: the rows of the term-by-term
+        reference ``merged_terms``, bit for bit. The built product carries
+        those rows and the merged extremes, and its verdict is that of its
+        record-free copy, which is extracted."""
         w, z, pairing = case
         built = tensor_product(w, z, pairing=pairing)
         rec = _merge_records(FactorRecord.of(w), FactorRecord.of(z), pairing, built.layout)
-        want = product_terms(w.terms(), z.terms(), w.layout, z.layout, pairing)
+        want = merged_terms(w.terms(), z.terms(), w.layout, z.layout, pairing)
         assert list(map(tuple, rec.indices.tolist())) == [t.indices for t in want]
         assert rec.values.tolist() == [t.coeff for t in want]
         assert rec.tensor is None and rec.factors is None
@@ -567,6 +626,21 @@ class TestFactorRecord:
         assert (built_rec.lam_min, built_rec.lam_max) == (rec.lam_min, rec.lam_max)
         assert np.array_equal(built_rec.indices, rec.indices)
         assert np.array_equal(built_rec.values, rec.values)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(_factor_pairs())
+    def test_merged_rows_are_the_first_term_of_each_pattern(self, case):
+        """Under positional pairings, the merged rows are the first term of
+        each tag pattern in the full listing, every pair of the factors'
+        terms multiplied out (``product_terms``), bit for bit."""
+        w, z, _ = case
+        pairing = PartyPairing.positional(w.layout, z.layout)
+        layout = combined_layout(w.layout, z.layout, pairing)
+        rec = _merge_records(FactorRecord.of(w), FactorRecord.of(z), pairing, layout)
+        want = first_of_each_pattern(
+            product_terms(w.terms(), z.terms(), w.layout, z.layout, pairing), layout)
+        assert list(map(tuple, rec.indices.tolist())) == [t.indices for t in want]
+        assert rec.values.tolist() == [t.coeff for t in want]
 
     def test_gallery_validity_matches_is_valid_process(self):
         for name in ("twoway-d2", "twoway-d3", "state-maxmix-d2", "oneway-xy-d2"):
@@ -609,15 +683,15 @@ class TestFactorRecord:
 class TestMergedPruning:
     """The pruning rule of merged rows (``docs/tolerances.md``): each
     factor's rows are pruned at its own threshold before the merge, and the
-    merged rows, one per pair of kept rows, are not pruned again, however
-    small their coefficients. The dense path prunes the built operator's
-    own coefficients, over the Gell-Mann basis, at the product's threshold,
-    so a product of two small terms is kept where the dense path drops it."""
+    merged rows, one per tag pattern, are not pruned again, however small
+    their coefficients. The dense path prunes the built operator's own
+    coefficients, over the Gell-Mann basis, at the product's threshold, so
+    a product of two small terms is kept where the dense path drops it."""
 
     LAYOUT = PartyLayout.of(("A", 2, 2))
 
-    def factor(self, identity, eps):
-        terms = [HSTerm((0, 0), identity), HSTerm((1, 0), eps)]
+    def factor(self, identity, eps, term=(1, 0)):
+        terms = [HSTerm((0, 0), identity), HSTerm(term, eps)]
         return ProcessMatrix(self.LAYOUT, hsbasis.reconstruct(
             terms, self.LAYOUT.subsystem_dims()))
 
@@ -626,7 +700,7 @@ class TestMergedPruning:
         built = tensor_product(w, z)
         rec = _merge_records(FactorRecord.of(w), FactorRecord.of(z),
                              PartyPairing.positional(w.layout, z.layout), built.layout)
-        want = product_terms(w.terms(), z.terms(), w.layout, z.layout)
+        want = merged_terms(w.terms(), z.terms(), w.layout, z.layout)
         assert list(map(tuple, rec.indices.tolist())) == [t.indices for t in want]
         assert rec.values.tolist() == [t.coeff for t in want]
         dense = ProcessMatrix(built.layout, built.op)
@@ -635,15 +709,16 @@ class TestMergedPruning:
             hsbasis.coefficient_tensor(dense.op, dense.layout.subsystem_dims()), None)
 
     def test_product_of_two_small_terms_is_kept(self):
-        """Two kept factor terms of 1e-6 multiply into a row of 1e-12, below
-        the product's threshold 1e-9, and it is kept; each against the other
-        factor's identity gives a row of 0.5e-6. The dense extraction drops
-        the 1e-12 term and spreads each 0.5e-6 term over two Gell-Mann
-        terms of 0.5e-6/sqrt(2)."""
-        w = self.factor(0.5, 1e-6)
-        assert len(FactorRecord.of(w).values) == 2
-        rec, (_, values) = self.merged_and_dense(w, w)
-        assert rec.indices.tolist() == [[0, 0], [1, 0], [4, 0], [5, 0]]
+        """Two kept factor terms of 1e-6, one on the input and one on the
+        output, multiply into a row of 1e-12, below the product's threshold
+        1e-9, and it is kept: it is the only term of its pattern. Each
+        against the other factor's identity gives a row of 0.5e-6. The
+        dense extraction drops the 1e-12 term and spreads each 0.5e-6 term
+        over two Gell-Mann terms of 0.5e-6/sqrt(2)."""
+        w, z = self.factor(0.5, 1e-6), self.factor(0.5, 1e-6, term=(0, 1))
+        assert len(FactorRecord.of(w).values) == len(FactorRecord.of(z).values) == 2
+        rec, (_, values) = self.merged_and_dense(w, z)
+        assert rec.indices.tolist() == [[0, 0], [0, 1], [4, 0], [4, 1]]
         assert rec.values == pytest.approx([0.25, 0.5e-6, 0.5e-6, 1e-12], rel=1e-9)
         assert len(values) == 5
         assert np.abs(values[1:]) == pytest.approx([0.5e-6 / np.sqrt(2)] * 4, rel=1e-9)
@@ -688,13 +763,6 @@ class TestMergedPruning:
         assert sig.codes == ("12", "12")
         assert got.forbidden_terms == loop_forbidden_terms(p)
         assert is_valid_process(ProcessMatrix(p.layout, p.op)).verdict is True
-
-    def test_merge_past_its_row_budget_is_refused(self):
-        """A merge step that would hold more than ``MAX_MERGE_ENTRIES``
-        entries raises before it allocates them."""
-        rows = (np.zeros((3000, 2), dtype=np.int64), np.ones(3000))
-        with pytest.raises(ValueError, match="merge step would hold 9000000 rows"):
-            hsbasis._merge_rows(rows, rows, (2, 2), (2, 2), [(0, 0), (1, 1)])
 
     def test_indices_past_int64_are_refused(self):
         """A fold whose merged subsystem passes dim 2**31.5 is refused: its
@@ -1036,9 +1104,12 @@ class TestBuiltOperator:
 class TestProductBasis:
     """A built product's rows name elements of its factors' product basis:
     on merged subsystem ``k``, index ``i * d_q**2 + j`` is ``s_i x s_j``,
-    each factor's element in its own basis. Summed term by term, the rows
-    make the product's operator within 1e-12 of its norm, and they are the
-    term-by-term reference's terms, bit for bit."""
+    each factor's element in its own basis. The rows are the term-by-term
+    reference's terms (``merged_terms``), bit for bit: one per tag pattern
+    of the factors' terms multiplied out, each a term of that full listing
+    (``product_terms``) and, under positional pairings, the first of its
+    pattern there. Each row's coefficient is the made operator's own
+    coefficient on its basis element, within 1e-12 of its norm."""
 
     @staticmethod
     def assert_rows_make_operator(p):
@@ -1046,7 +1117,16 @@ class TestProductBasis:
         want = expansion(p)
         assert list(map(tuple, rec.indices.tolist())) == [t.indices for t in want]
         assert rec.values.tolist() == [t.coeff for t in want]
-        assert np.linalg.norm(rows_operator(p) - p.op) <= 1e-12 * np.linalg.norm(p.op)
+        f = p._factors
+        full = product_terms(expansion(f.w), expansion(f.z), f.w.layout, f.z.layout, f.pairing)
+        tags = [classify_term(t, p.layout).tags for t in want]
+        assert len(set(tags)) == len(tags) and set(want) <= set(full)
+        assert set(tags) == {classify_term(t, p.layout).tags for t in full}
+        if f.pairing == PartyPairing.positional(f.w.layout, f.z.layout):
+            assert want == first_of_each_pattern(full, p.layout)
+        norm = np.linalg.norm(p.op)
+        for t in want:
+            assert abs(basis_coefficient(p, t.indices) - t.coeff) <= 1e-12 * norm
 
     def test_crossed_pairings(self):
         swapped = PartyPairing((("Y", "X", "B"), ("X", "Y", "A")))
@@ -1108,7 +1188,7 @@ class TestLazyOperator:
         assert p.dim == 6561 and builds == []
         assert peak < 64 * 2 ** 20, peak
         assert report.verdict is False and report.verdict == find_blocking_pairs(w, w).verdict
-        assert report.trace_defect == 0.0 and len(report.forbidden_terms) == 8
+        assert report.trace_defect == 0.0 and len(report.forbidden_terms) == 1
         assert report.forbidden_terms == loop_forbidden_terms(p) and builds == []
 
     def test_nested_products_never_build(self, monkeypatch):
@@ -1196,6 +1276,22 @@ class TestFactorsOnly:
         find_blocking_pairs(inner, p)
         assert extracted == merged == eigvalsh_dims == [] and len(records) == 3
         assert report.verdict == is_valid_process(ProcessMatrix(p.layout, p.op)).verdict
+
+    def test_a_process_asked_against_itself_is_reduced_once(self, monkeypatch):
+        """A square keeps one copy of its factor, and each of the three
+        self-pair questions extracts the operator once and eigendecomposes
+        it at most once."""
+        w = twoway_channel_process(2)
+        square = tensor_product(w, w)
+        assert square._factors.w is square._factors.z
+        extracted = count_calls(monkeypatch, hsbasis, "_extract")
+        eigvalsh_dims = record_eigvalsh_dims(monkeypatch)
+        for question, spectra in ((lambda: is_valid_process(square), [16]),
+                                  (lambda: find_blocking_pairs(w, w), [16]),
+                                  (lambda: two_party_product_invalid(w, w), [])):
+            del extracted[:], eigvalsh_dims[:]
+            question()
+            assert [len(a) for a in extracted] == [16] and eigvalsh_dims == spectra
 
     def test_six_nested_twoway_products(self):
         """``twoway-d2`` nested six times (dim 16.8 M, a 4.5 PB operator) is
