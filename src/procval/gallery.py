@@ -175,81 +175,46 @@ def _bell_state() -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-@lru_cache(maxsize=1)
-def _registry() -> dict[str, GalleryEntry]:
-    both = frozenset({("X", "Y"), ("Y", "X")})
-    entries = [
-        GalleryEntry(
-            name="twoway-d2",
-            process=twoway_channel_process(2),
-            valid=True,
-            signalling=both,
-            notes="equal mixture of qubit identity channels in both directions",
-        ),
-        GalleryEntry(
-            name="twoway-d3",
-            process=twoway_channel_process(3),
-            valid=True,
-            signalling=both,
-            notes="qutrit version of twoway-d2",
-        ),
-        GalleryEntry(
-            name="twoway-d4",
-            process=twoway_channel_process(4),
-            valid=True,
-            signalling=both,
-            notes="4-level version; reduces to two copies of twoway-d2",
-        ),
-        GalleryEntry(
-            name="oneway-xy-d2",
-            process=oneway_channel_process(2, "xy"),
-            valid=True,
-            signalling=frozenset({("X", "Y")}),
-            notes="classical identity channel from X to Y",
-        ),
-        GalleryEntry(
-            name="oneway-yx-d2",
-            process=oneway_channel_process(2, "yx"),
-            valid=True,
-            signalling=frozenset({("Y", "X")}),
-            notes="classical identity channel from Y to X",
-        ),
-        GalleryEntry(
-            name="state-maxmix-d2",
-            process=state_process(maximally_mixed(2), PartyLayout.of(("X", 2, 2))),
-            valid=True,
-            signalling=frozenset(),
-            notes="single party handed a maximally mixed qubit",
-        ),
-        GalleryEntry(
-            name="state-bell-d2",
-            process=state_process(_bell_state(), _bipartite_layout(2)),
-            valid=True,
-            signalling=frozenset(),
-            notes="shared Bell state; correlated but non-signalling",
-        ),
-        GalleryEntry(
-            name="state-product-d2",
-            process=state_process(
-                linalg.tensor(np.diag([1.0, 0.0]), maximally_mixed(2)),
-                _bipartite_layout(2),
-            ),
-            valid=True,
-            signalling=frozenset(),
-            notes="uncorrelated product state",
-        ),
-    ]
-    return {e.name: e for e in entries}
+_BOTH = frozenset({("X", "Y"), ("Y", "X")})
+# Each entry's name, how to build its process, its expected verdict and
+# signalling set, and its notes. A process is built on the first request
+# for its entry (twoway-d4 alone is a dim-256 operator), then kept.
+_ENTRIES = {
+    "twoway-d2": (lambda: twoway_channel_process(2), True, _BOTH,
+                  "equal mixture of qubit identity channels in both directions"),
+    "twoway-d3": (lambda: twoway_channel_process(3), True, _BOTH,
+                  "qutrit version of twoway-d2"),
+    "twoway-d4": (lambda: twoway_channel_process(4), True, _BOTH,
+                  "4-level version; reduces to two copies of twoway-d2"),
+    "oneway-xy-d2": (lambda: oneway_channel_process(2, "xy"), True,
+                     frozenset({("X", "Y")}), "classical identity channel from X to Y"),
+    "oneway-yx-d2": (lambda: oneway_channel_process(2, "yx"), True,
+                     frozenset({("Y", "X")}), "classical identity channel from Y to X"),
+    "state-maxmix-d2": (lambda: state_process(maximally_mixed(2), PartyLayout.of(("X", 2, 2))),
+                        True, frozenset(), "single party handed a maximally mixed qubit"),
+    "state-bell-d2": (lambda: state_process(_bell_state(), _bipartite_layout(2)), True,
+                      frozenset(), "shared Bell state; correlated but non-signalling"),
+    "state-product-d2": (lambda: state_process(
+                             linalg.tensor(np.diag([1.0, 0.0]), maximally_mixed(2)),
+                             _bipartite_layout(2)),
+                         True, frozenset(), "uncorrelated product state"),
+}
+
+
+@lru_cache(maxsize=None)
+def _entry(name: str) -> GalleryEntry:
+    build, valid, signalling, notes = _ENTRIES[name]
+    return GalleryEntry(name=name, process=build(), valid=valid, signalling=signalling,
+                        notes=notes)
 
 
 def gallery_names() -> list[str]:
-    return sorted(_registry())
+    return sorted(_ENTRIES)
 
 
 def gallery_entry(name: str) -> GalleryEntry:
-    try:
-        return _registry()[name]
-    except KeyError:
+    if name not in _ENTRIES:
         raise KeyError(
             f"unknown gallery entry {name!r}; available: {', '.join(gallery_names())}"
-        ) from None
+        )
+    return _entry(name)

@@ -109,13 +109,13 @@ def _entry_array(entries: list) -> np.ndarray:
 # The canonical layout up to the first entry, as serialize writes it. The
 # "entries": [ a match ends on is matrix.entries: every key before it is fixed
 # and each party line is one flat object.
-_STRING = r'"(?:[^"\\\n]|\\.)*"'
-_PARTY = r'    \{"name": %s, "d_in": -?[0-9]+, "d_out": -?[0-9]+\}' % _STRING
+_STRING = rb'"(?:[^"\\\n]|\\.)*"'
+_PARTY = rb'    \{"name": %s, "d_in": -?[0-9]+, "d_out": -?[0-9]+\}' % _STRING
 _CANONICAL_HEAD = re.compile(
-    r'\{\n  "format_version": %s,\n  "parties": \[\n(?:%s,\n)*%s\n'
-    r'  \],\n  "matrix": \{\n    "dim": -?[0-9]+,\n    "entries": \[\n' % (_STRING, _PARTY, _PARTY))
+    rb'\{\n  "format_version": %s,\n  "parties": \[\n(?:%s,\n)*%s\n'
+    rb'  \],\n  "matrix": \{\n    "dim": -?[0-9]+,\n    "entries": \[\n' % (_STRING, _PARTY, _PARTY))
 # After the last entry: the closing lines, with metadata on one line or none.
-_CANONICAL_TAIL = re.compile(r'\n    \]\n  \}(?:,\n  "metadata": ([^\n]*))?\n\}\n')
+_CANONICAL_TAIL = re.compile(rb'\n    \]\n  \}(?:,\n  "metadata": ([^\n]*))?\n\}\n')
 _NUMBER_CHARS = b"0123456789.eE+-"
 _ENTRY_LINE = b"      [, ],\n"  # an entry line without its numbers
 _BLOCK = 32  # entry lines (reader) or entries (writer) keyed as one block
@@ -165,12 +165,14 @@ def _line_numbers(body: bytes) -> tuple[list[bytes], np.ndarray] | None:
     return distinct, table.reshape(-1, _BLOCK)[block_numbers].reshape(-1)[:len(ends) + 1]
 
 
-def _canonical_document(text: str) -> dict | None:
+def _canonical_document(text: str | bytes) -> dict | None:
     """The decoded document when ``text`` has the canonical layout and every
     entry is a pair of numbers that fit a double, with ``matrix.entries``
     already a complex128 array; otherwise None.
 
-    The header and metadata go through ``json.loads`` as on the general path.
+    The layout is matched on the document's UTF-8 bytes (a ``str`` is
+    encoded first). The header and metadata are decoded as UTF-8 and go
+    through ``json.loads`` as on the general path.
     The entry lines must be ``serialize``'s lines, each value one run of
     ``0-9 . e E + -`` in its place, and the values decode as one flat JSON
     array: the same scanner as the general path, so ``-0`` still reads as
@@ -180,19 +182,22 @@ def _canonical_document(text: str) -> dict | None:
     layout checks of a body hold for every line of it exactly when they hold
     for each distinct line. Anything
     else (other whitespace, ``NaN``, ``true``, strings, an integer beyond the
-    double range, a truncated document) gives None, and the general path
-    reads the text and raises its errors."""
-    head = _CANONICAL_HEAD.match(text)
-    tail_at = text.rfind("\n    ]\n  }")
-    tail = _CANONICAL_TAIL.fullmatch(text, tail_at) if head and tail_at >= head.end() else None
+    double range, a truncated document, bytes that are not UTF-8) gives None,
+    and the general path reads the text and raises its errors. Every byte of
+    a match is decoded or checked, so a document that is not UTF-8 never
+    matches."""
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    head = _CANONICAL_HEAD.match(data)
+    tail_at = data.rfind(b"\n    ]\n  }")
+    tail = _CANONICAL_TAIL.fullmatch(data, tail_at) if head and tail_at >= head.end() else None
     if tail is None:
         return None
     try:
-        doc = json.loads(text[:head.end()] + "]}}")
+        doc = json.loads((data[:head.end()] + b"]}}").decode())
         if tail[1] is not None:
-            doc["metadata"] = json.loads(tail[1])  # one value, so no key follows it
+            doc["metadata"] = json.loads(tail[1].decode())  # one value, so no key follows it
         n = doc["matrix"]["dim"] ** 2
-        body = text[head.end():tail_at].encode()
+        body = data[head.end():tail_at]
         # Each entry line has 14 characters or more, which bounds the template.
         if not 0 < 14 * n - 2 <= len(body):
             return None
@@ -211,17 +216,21 @@ def _canonical_document(text: str) -> dict | None:
             return None
         values = json.loads(b"[" + body.translate(None, b"[] \n") + b"]")
         flat = np.fromiter(values, dtype=np.float64, count=2 * m)
-    except (ValueError, OverflowError):  # a JSON error, an integer beyond the double range
+    except (ValueError, OverflowError):  # JSON or UTF-8 errors, integers past the double range
         return None
     entries = flat.view(np.complex128)
     doc["matrix"]["entries"] = entries if index is None else entries[index]
     return doc
 
 
-def parse_document(text: str) -> tuple[ProcessMatrix, dict]:
-    """Parse a document, returning the process and its metadata block."""
+def parse_document(text: str | bytes) -> tuple[ProcessMatrix, dict]:
+    """Parse a document, returning the process and its metadata block.
+    ``bytes`` are a file's contents, read as a file opened in text mode as
+    UTF-8 reads them: decoded once, with universal newlines."""
     doc = _canonical_document(text)
     if doc is None:  # the general path
+        if isinstance(text, bytes):
+            text = text.decode().replace("\r\n", "\n").replace("\r", "\n")
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as err:
@@ -277,8 +286,9 @@ def parse_document(text: str) -> tuple[ProcessMatrix, dict]:
     return ProcessMatrix(layout=layout, op=op.reshape(dim, dim)), metadata
 
 
-def parse(text: str) -> ProcessMatrix:
-    """Parse a ``procmat/1`` document into a process matrix."""
+def parse(text: str | bytes) -> ProcessMatrix:
+    """Parse a ``procmat/1`` document (:func:`parse_document`) into a
+    process matrix."""
     return parse_document(text)[0]
 
 
@@ -350,6 +360,7 @@ def serialize(w: ProcessMatrix, metadata: dict | None = None) -> str:
 
 
 def load_path(path: str) -> ProcessMatrix:
-    """Read and parse a document file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read and parse a document file, from its bytes: a canonical document
+    is never decoded as a whole."""
+    with open(path, "rb") as fh:
         return parse(fh.read())

@@ -51,6 +51,8 @@ def hermiticity_defect(m) -> float:
     in row blocks, so that no full-size temporary is made."""
     a = as_operator(m)
     step = max(1, 2**16 // len(a))
+    if step >= len(a):  # one block: the whole matrix
+        return float(np.abs(a - a.conj().T).max())
     blocks = (np.abs(a[i:i + step, i:] - a[i:, i:i + step].conj().T).max()
               for i in range(0, len(a), step))
     return float(max(blocks, key=lambda v: (v != v, v)))  # NaN wins, as in np.max
@@ -181,9 +183,13 @@ def eigenvalue_range(m) -> tuple[float, float]:
     return _hermitian_extremes(require_hermitian(_require_finite(m)))
 
 
-def _hermitian_extremes(a: np.ndarray) -> tuple[float, float]:
-    """:func:`eigenvalue_range` of an operator that has passed its checks."""
-    lam = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+def _hermitian_extremes(a: np.ndarray, hermitian: bool = False) -> tuple[float, float]:
+    """:func:`eigenvalue_range` of an operator that has passed its checks.
+    With ``hermitian`` the caller vouches that ``a`` equals ``a^dagger``
+    entry by entry and that ``2 a`` does not overflow, so ``a`` is its own
+    Hermitian part and is read without the copy: ``eigvalsh`` reads one
+    triangle, and its values are the same in both."""
+    lam = np.linalg.eigvalsh(a if hermitian else (a + a.conj().T) / 2.0)
     return float(lam[0]), float(lam[-1])
 
 

@@ -11,8 +11,9 @@ every nontrivial term of its operator-basis expansion acts as a pure input
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Mapping
 
 import numpy as np
@@ -48,7 +49,15 @@ class PartyTag(enum.IntFlag):
     @property
     def code(self) -> str:
         """Compact case code: '0', '1', '2' or '12'."""
-        return {0: "0", 1: "1", 2: "2", 3: "12"}[int(self)]
+        return _CASE_CODES[self]
+
+
+# The tags IN and OUT as plain ints for array arithmetic, and the members and
+# case codes indexed by tag value for listings: an enum member costs an
+# attribute lookup and a conversion on every use.
+_IN, _OUT = int(PartyTag.IN), int(PartyTag.OUT)
+_TAGS = tuple(map(PartyTag, range(4)))
+_CASE_CODES = ("0", "1", "2", "12")
 
 
 @dataclass(frozen=True)
@@ -65,16 +74,38 @@ class Party:
 @dataclass(frozen=True)
 class PartyLayout:
     """Ordered parties; fixes the global tensor order as input then output per
-    party, parties in declared order."""
+    party, parties in declared order. ``names``, ``dim``, ``d_in`` and
+    ``d_out`` (exact integers) and the hash are computed once, at
+    construction: layouts key the caches of :mod:`procval.product`."""
 
     parties: tuple[Party, ...]
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
+    d_in: int = field(init=False, repr=False, compare=False)
+    d_out: int = field(init=False, repr=False, compare=False)
+    _dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [p.name for p in self.parties]
+        names = tuple(p.name for p in self.parties)
         if len(set(names)) != len(names):
-            raise ValueError(f"party names must be unique, got {names}")
+            raise ValueError(f"party names must be unique, got {list(names)}")
         if not self.parties:
             raise ValueError("layout needs at least one party")
+        parties = tuple(self.parties)
+        dims = tuple(d for p in parties for d in (p.d_in, p.d_out))
+        computed = {"parties": parties, "names": names, "_dims": dims,
+                    "dim": int(math.prod(dims)), "d_in": int(math.prod(dims[0::2])),
+                    "d_out": int(math.prod(dims[1::2])), "_hash": hash(parties)}
+        for name, value in computed.items():
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt from its parties: a string's hash differs between processes.
+        return PartyLayout, (self.parties,)
 
     @staticmethod
     def of(*parties: tuple[str, int, int]) -> "PartyLayout":
@@ -84,27 +115,8 @@ class PartyLayout:
     def n_parties(self) -> int:
         return len(self.parties)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.parties)
-
     def subsystem_dims(self) -> tuple[int, ...]:
-        dims = []
-        for p in self.parties:
-            dims += [p.d_in, p.d_out]
-        return tuple(dims)
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.subsystem_dims()))
-
-    @property
-    def d_out(self) -> int:
-        return int(np.prod([p.d_out for p in self.parties]))
-
-    @property
-    def d_in(self) -> int:
-        return int(np.prod([p.d_in for p in self.parties]))
+        return self._dims
 
     def party_index(self, name: str) -> int:
         for i, p in enumerate(self.parties):
@@ -255,7 +267,7 @@ class ValidityReport:
 def _allowed(tags: np.ndarray) -> np.ndarray:
     """The term rule on tag rows (parties along the last axis): a term is
     allowed when it is trivial or a pure input on some party."""
-    return (tags == PartyTag.IN).any(axis=-1) | (tags == PartyTag.TRIVIAL).all(axis=-1)
+    return (tags == _IN).any(axis=-1) | ~tags.any(axis=-1)
 
 
 def _signalling(patterns: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -263,20 +275,44 @@ def _signalling(patterns: tuple[np.ndarray, ...]) -> np.ndarray:
     :func:`_tag_patterns` acts on the output (or both ends) of party ``i``
     and as a pure input on party ``j``."""
     _, _, tags, _ = patterns
-    out = (tags & PartyTag.OUT) != 0
-    return (out[:, :, None] & (tags == PartyTag.IN)[:, None, :]).any(axis=0)
+    out = (tags & _OUT) != 0
+    return (out[:, :, None] & (tags == _IN)[:, None, :]).any(axis=0)
+
+
+# Term counts up to which _tag_patterns finds the distinct pattern codes with
+# a Python set: np.unique's fixed cost is most of a small record's grouping
+# (60 terms: 5 us against 14), and its sort wins past about 512 terms.
+_FEW_TERMS = 256
 
 
 def _tag_patterns(indices: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
     """The nontrivial terms among the term rows ``indices`` (basis indices,
     lexicographic order) and ``values`` grouped by tag pattern: their basis
-    indices and coefficients, the distinct patterns (a row of PartyTag values
-    each, parties in layout order), and the row of each term's pattern."""
+    indices and coefficients, the distinct patterns (a row of tag values
+    each, parties in layout order, in the order of their codes), and the
+    row of each term's pattern."""
     codes = _pattern_codes(indices)
     keep = codes != 0
-    patterns, group = np.unique(codes[keep], return_inverse=True)
-    tags = (patterns[:, None] >> np.arange(0, indices.shape[1], 2, dtype=np.uint64)) & np.uint64(3)
+    codes = codes[keep]
+    if len(codes) <= _FEW_TERMS:
+        patterns = np.array(sorted(set(codes.tolist())), dtype=np.uint64)
+        group = np.searchsorted(patterns, codes)
+    else:
+        patterns, group = np.unique(codes, return_inverse=True)
+    tags = (patterns[:, None] >> _code_bits(indices.shape[1])[1]) & np.uint64(3)
     return indices[keep], values[keep], tags.astype(np.int8), group
+
+
+@lru_cache(maxsize=None)
+def _code_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For term rows over ``n`` subsystems: the bit of each subsystem in a
+    pattern code (:func:`_pattern_codes`), and the shift of each party's
+    tag in it."""
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    shifts = np.arange(0, n, 2, dtype=np.uint64)
+    bits.setflags(write=False)
+    shifts.setflags(write=False)
+    return bits, shifts
 
 
 def _pattern_codes(indices: np.ndarray) -> np.ndarray:
@@ -284,7 +320,7 @@ def _pattern_codes(indices: np.ndarray) -> np.ndarray:
     not the identity, so party p's tag is bits 2p and 2p+1 and the trivial
     term's code is 0 (a record's subsystems are those of an extracted
     tensor: numpy's 64 axes fit 64 bits)."""
-    return (indices != 0) @ (np.uint64(1) << np.arange(indices.shape[1], dtype=np.uint64))
+    return (indices != 0) @ _code_bits(indices.shape[1])[0]
 
 
 def _first_of_each_pattern(indices: np.ndarray, values: np.ndarray) -> tuple:
@@ -307,7 +343,7 @@ def _checked_rows(w: ProcessMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _term(indices: np.ndarray, coeff) -> HSTerm:
-    return HSTerm(indices=tuple(int(i) for i in indices), coeff=float(coeff))
+    return HSTerm(indices=tuple(indices.tolist()), coeff=float(coeff))
 
 
 # The rounding slack ``c·ε`` (c = 64, ε = 2**-52) of a built product's
@@ -373,7 +409,9 @@ class FactorRecord:
         defect = linalg._check_hermitian(a, norm)
         tensor = hsbasis._extract(a, w.layout.subsystem_dims())
         indices, values = hsbasis._term_rows(tensor, None)
-        lam_min, lam_max = linalg._hermitian_extremes(a)
+        # A defect of exactly 0 makes ``a`` its own Hermitian part; below
+        # _SAFE_NORM, 2a cannot overflow.
+        lam_min, lam_max = linalg._hermitian_extremes(a, defect == 0.0 and norm <= _SAFE_NORM)
         return FactorRecord(
             layout=w.layout,
             indices=indices,
@@ -452,7 +490,7 @@ def is_valid_process(w: ProcessMatrix, tolerances: Tolerances | None = None) -> 
     """
     verdict, psd_defect, trace_defect, (indices, coeffs, tags, group), forbidden = (
         FactorRecord.of(w).check(tolerances or Tolerances()))
-    signatures = [TermSignature(tuple(map(PartyTag, row.tolist()))) for row in tags]
+    signatures = [TermSignature(tuple(map(_TAGS.__getitem__, row.tolist()))) for row in tags]
     return ValidityReport(verdict, psd_defect, trace_defect, tuple(
         (_term(indices[r], coeffs[r]), signatures[group[r]]) for r in forbidden))
 

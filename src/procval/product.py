@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -46,11 +47,11 @@ import numpy as np
 from . import hsbasis, linalg
 from .hsbasis import HSTerm
 from .process import (
+    _CASE_CODES,
     _PRODUCT_ROUNDING,
     FactorRecord,
     Party,
     PartyLayout,
-    PartyTag,
     ProcessMatrix,
     _allowed,
     _checked_rows,
@@ -102,6 +103,9 @@ class PartyPairing:
         return PartyPairing(tuple(pairs))
 
 
+# The pairing and layout helpers below answer from a small cache: a process
+# of a given shape is usually asked about again, and its layout is immutable.
+@lru_cache(maxsize=256)
 def _resolve_pairing(w_layout: PartyLayout, z_layout: PartyLayout,
                      pairing: PartyPairing | None) -> PartyPairing:
     if pairing is None:
@@ -114,6 +118,7 @@ def _resolve_pairing(w_layout: PartyLayout, z_layout: PartyLayout,
     return pairing
 
 
+@lru_cache(maxsize=256)
 def combined_layout(w_layout: PartyLayout, z_layout: PartyLayout,
                     pairing: PartyPairing) -> PartyLayout:
     parties = []
@@ -125,8 +130,9 @@ def combined_layout(w_layout: PartyLayout, z_layout: PartyLayout,
     return PartyLayout(tuple(parties))
 
 
+@lru_cache(maxsize=256)
 def _merged_subsystems(w_layout: PartyLayout, z_layout: PartyLayout,
-                       pairing: PartyPairing) -> list[tuple[int, int]]:
+                       pairing: PartyPairing) -> tuple[tuple[int, int], ...]:
     """For each subsystem of the merged layout, in order, the subsystem of
     each factor that goes into it: input then output of every merged party,
     the first factor's part most significant."""
@@ -135,7 +141,7 @@ def _merged_subsystems(w_layout: PartyLayout, z_layout: PartyLayout,
         i = w_layout.party_index(wn)
         j = z_layout.party_index(zn)
         out += [(2 * i, 2 * j), (2 * i + 1, 2 * j + 1)]
-    return out
+    return tuple(out)
 
 
 def _product_extremes(w: tuple[float, float],
@@ -309,22 +315,27 @@ def _report(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
     idx_z, c_z, pat_z, group_z = z.patterns(tol)
     # Whether a pair blocks depends only on its two tag patterns, so decide the
     # grid once per pattern pair (parties in pairing order), expand the blocking ones.
-    pat_w = pat_w[:, [w.layout.party_index(p[0]) for p in pairing.pairs]]
-    pat_z = pat_z[:, [z.layout.party_index(p[1]) for p in pairing.pairs]]
+    merged = _merged_subsystems(w.layout, z.layout, pairing)[::2]
+    pat_w = pat_w[:, [p // 2 for p, _ in merged]]
+    pat_z = pat_z[:, [q // 2 for _, q in merged]]
     blocks = ~_allowed(pat_w[:, None, :] | pat_z[None, :, :])
-    hits = [np.flatnonzero(blocks[g, group_z]) for g in range(len(pat_w))]
-
-    codes = [PartyTag(v).code for v in range(4)]
-    cases = {(g, h): tuple((codes[min(p, q)], codes[max(p, q)]) for p, q in zip(pat_w[g], pat_z[h]))
-             for g, h in np.argwhere(blocks).tolist()}
-    z_terms = {b: _term(idx_z[b], c_z[b]) for b in np.flatnonzero(blocks.any(axis=0)[group_z])}
     pairs, per_party = [], []
-    # Terms come in lexicographic index order, so the pairs do too.
-    for a in np.flatnonzero(blocks.any(axis=1)[group_w]):
-        tw = _term(idx_w[a], c_w[a])
-        for b in hits[group_w[a]]:
-            pairs.append((tw, z_terms[b]))
-            per_party.append(cases[group_w[a], group_z[b]])
+    if blocks.any():
+        keys = (4 * pat_w[:, None, :] + pat_z[None, :, :]).tolist()
+        cases = {(g, h): tuple(map(_CASE_PAIRS.__getitem__, keys[g][h]))
+                 for g, h in np.argwhere(blocks).tolist()}
+        z_hits = np.flatnonzero(blocks.any(axis=0)[group_z])
+        z_terms = list(map(_term, idx_z[z_hits], c_z[z_hits]))
+        z_groups = group_z[z_hits].tolist()
+        # The z terms that block each w pattern, and their cases, in term order.
+        hits = [(list(compress(z_terms, row)), [cases[g, h] for h in compress(z_groups, row)])
+                for g, row in enumerate(blocks[:, z_groups].tolist())]
+        # Terms come in lexicographic index order, so the pairs do too.
+        w_hits = np.flatnonzero(blocks.any(axis=1)[group_w])
+        for tw, g in zip(map(_term, idx_w[w_hits], c_w[w_hits]), group_w[w_hits].tolist()):
+            terms, terms_cases = hits[g]
+            pairs += [(tw, tz) for tz in terms]
+            per_party += terms_cases
     return ProductReport(
         verdict=not pairs,
         blocking_pairs=tuple(pairs),
@@ -333,6 +344,12 @@ def _report(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
         z_valid=z.valid,
         layout=combined_layout(w.layout, z.layout, pairing),
     )
+
+
+# The case of a pair of tags (p, q) on one party, at index 4 * p + q: the
+# two case codes, lower tag first.
+_CASE_PAIRS = tuple((_CASE_CODES[min(p, q)], _CASE_CODES[max(p, q)])
+                    for p in range(4) for q in range(4))
 
 
 def find_blocking_pairs(w: ProcessMatrix, z: ProcessMatrix,

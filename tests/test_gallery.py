@@ -187,3 +187,27 @@ class TestRandomValidProcess:
         a = random_valid_process(QUBIT_BIPARTITE, seed=9)
         b = random_valid_process(QUBIT_BIPARTITE, seed=9)
         assert np.array_equal(a.op, b.op)
+
+
+def test_names_build_no_entry(monkeypatch):
+    """``gallery_names`` reads the static list of entries: it builds no
+    process (``twoway-d4`` alone is a dim-256 operator)."""
+    from procval import gallery
+
+    def refuse():
+        raise AssertionError("gallery_names built an entry")
+
+    monkeypatch.setattr(gallery, "_ENTRIES", {
+        name: (refuse, *rest) for name, (_, *rest) in gallery._ENTRIES.items()})
+    before = gallery._entry.cache_info()
+    assert gallery_names() == sorted([
+        "oneway-xy-d2", "oneway-yx-d2", "state-bell-d2", "state-maxmix-d2",
+        "state-product-d2", "twoway-d2", "twoway-d3", "twoway-d4"])
+    assert gallery._entry.cache_info() == before
+
+
+def test_each_entry_is_built_once_and_kept():
+    for name in gallery_names():
+        assert gallery_entry(name) is gallery_entry(name)
+    with pytest.raises(KeyError, match="unknown gallery entry 'nope'; available: oneway-xy-d2"):
+        gallery_entry("nope")

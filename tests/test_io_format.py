@@ -777,3 +777,96 @@ def test_small_blocks_match_the_references_on_random_edits(name, values, inserts
         if isinstance(fast[0], bytes) and np.isfinite(np.frombuffer(fast[0])).all():
             w = parse(text)
             assert serialize(w) == loop_serialize(w)
+
+
+# load_path reads a file's bytes: the canonical reader matches them as they
+# are, and any other document is decoded once, as UTF-8 with universal
+# newlines, which is what reading the file in text mode gave.
+
+def text_mode_read(path):
+    """``parse`` of the file read in text mode as UTF-8: the operator's bits,
+    layout and metadata, or the error's type and message."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            w, meta = parse_document(fh.read())
+    except Exception as err:
+        return type(err), str(err)
+    return w.op.tobytes(), w.layout, json.dumps(meta)
+
+
+def bytes_read(path):
+    """What ``load_path`` reads, in the form of :func:`text_mode_read`."""
+    try:
+        w = io_format.load_path(path)
+    except Exception as err:
+        return type(err), str(err)
+    with open(path, "rb") as fh:
+        meta = parse_document(fh.read())[1]
+    return w.op.tobytes(), w.layout, json.dumps(meta)
+
+
+def _canonical_bytes():
+    w = gallery_entry("oneway-xy-d2").process
+    return serialize(w, metadata={"note": "café  "}).encode()
+
+
+BYTE_EDITS = {
+    "canonical": lambda b: b,
+    "bom": lambda b: b"\xef\xbb\xbf" + b,
+    "crlf": lambda b: b.replace(b"\n", b"\r\n"),
+    "cr": lambda b: b.replace(b"\n", b"\r"),
+    "cr-malformed": lambda b: b.replace(b"\n", b"\r")[:-2] + b"]\r",
+    "crlf-malformed": lambda b: b.replace(b"\n", b"\r\n")[:-3] + b"]\r\n",
+    "cr-in-metadata": lambda b: b.replace(b'"note":', b'"note":\r'),
+    "invalid-utf8-name": lambda b: b.replace(b'"name": "X"', b'"name": "X\xff"'),
+    "invalid-utf8-metadata": lambda b: b.replace(b"caf", b"caf\xc3"),
+    "invalid-utf8-entry": lambda b: b.replace(b"0.0]", b"0.0\x80]", 1),
+    "surrogate-name": lambda b: b.replace(b'"name": "X"', b'"name": "X\xed\xa0\x80"'),
+    "non-ascii-name": lambda b: b.replace(b'"name": "X"', '"name": "Xé"'.encode()),
+    "truncated-sequence": lambda b: b[:-1] + b"\xe2\x82",
+    "compact": lambda b: json.dumps(json.loads(b)).encode(),
+}
+
+
+@pytest.mark.parametrize("edit", BYTE_EDITS)
+def test_load_path_reads_as_text_mode_read(tmp_path, edit):
+    path = tmp_path / "doc.json"
+    path.write_bytes(BYTE_EDITS[edit](_canonical_bytes()))
+    assert bytes_read(path) == text_mode_read(path)
+
+
+def test_load_path_takes_the_canonical_reader_on_bytes(tmp_path, monkeypatch):
+    """A canonical document is matched on its bytes: no ``str`` of the
+    document is made."""
+    path = tmp_path / "doc.json"
+    data = serialize(tensor_product(gallery_entry("twoway-d2").process,
+                                    gallery_entry("oneway-xy-d2").process)).encode()
+    path.write_bytes(data)
+    want = parse(data.decode()).op.tobytes()
+    seen = []
+    real = io_format._canonical_document
+    monkeypatch.setattr(io_format, "_canonical_document",
+                        lambda text: seen.append(type(text)) or real(text))
+    assert io_format.load_path(str(path)).op.tobytes() == want
+    assert seen == [bytes]
+
+
+def test_bom_and_invalid_utf8_keep_their_messages(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xef\xbb\xbf" + _canonical_bytes())
+    with pytest.raises(MalformedDocumentError,
+                       match=r"invalid JSON: Unexpected UTF-8 BOM .* \(at line 1, column 1\)"):
+        io_format.load_path(str(path))
+    path.write_bytes(_canonical_bytes().replace(b'"name": "X"', b'"name": "X\xff"'))
+    with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xff in position"):
+        io_format.load_path(str(path))
+
+
+def test_str_with_a_lone_surrogate_keeps_its_result():
+    """A ``str`` is encoded for the canonical reader with its surrogates
+    kept; the strict UTF-8 decode of the header then fails, and the general
+    path reads the text as before."""
+    text = serialize(gallery_entry("twoway-d2").process).replace('"name": "X"',
+                                                                  '"name": "X\ud800"')
+    fast, general = read_both(text)
+    assert fast == general and fast[1].names == ("X\ud800", "Y")
