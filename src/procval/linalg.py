@@ -51,8 +51,6 @@ def hermiticity_defect(m) -> float:
     in row blocks, so that no full-size temporary is made."""
     a = as_operator(m)
     step = max(1, 2**16 // len(a))
-    if step >= len(a):  # one block: the whole matrix
-        return float(np.abs(a - a.conj().T).max())
     blocks = (np.abs(a[i:i + step, i:] - a[i:, i:i + step].conj().T).max()
               for i in range(0, len(a), step))
     return float(max(blocks, key=lambda v: (v != v, v)))  # NaN wins, as in np.max

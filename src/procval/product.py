@@ -81,6 +81,8 @@ class PartyPairing:
     pairs: tuple[tuple[str, str, str], ...]
 
     def __post_init__(self):
+        # A tuple of tuples however the pairs were given: pairings are hashed.
+        object.__setattr__(self, "pairs", tuple(map(tuple, self.pairs)))
         w_names = [p[0] for p in self.pairs]
         z_names = [p[1] for p in self.pairs]
         merged = [p[2] for p in self.pairs]
@@ -103,8 +105,9 @@ class PartyPairing:
         return PartyPairing(tuple(pairs))
 
 
-# The pairing and layout helpers below answer from a small cache: a process
-# of a given shape is usually asked about again, and its layout is immutable.
+# The resolved pairing and the merged layout of two layouts come from a small
+# cache: a process of a given shape is usually asked about again, and layouts
+# and pairings are immutable.
 @lru_cache(maxsize=256)
 def _resolve_pairing(w_layout: PartyLayout, z_layout: PartyLayout,
                      pairing: PartyPairing | None) -> PartyPairing:
@@ -130,9 +133,8 @@ def combined_layout(w_layout: PartyLayout, z_layout: PartyLayout,
     return PartyLayout(tuple(parties))
 
 
-@lru_cache(maxsize=256)
 def _merged_subsystems(w_layout: PartyLayout, z_layout: PartyLayout,
-                       pairing: PartyPairing) -> tuple[tuple[int, int], ...]:
+                       pairing: PartyPairing) -> list[tuple[int, int]]:
     """For each subsystem of the merged layout, in order, the subsystem of
     each factor that goes into it: input then output of every merged party,
     the first factor's part most significant."""
@@ -141,7 +143,7 @@ def _merged_subsystems(w_layout: PartyLayout, z_layout: PartyLayout,
         i = w_layout.party_index(wn)
         j = z_layout.party_index(zn)
         out += [(2 * i, 2 * j), (2 * i + 1, 2 * j + 1)]
-    return tuple(out)
+    return out
 
 
 def _product_extremes(w: tuple[float, float],
@@ -315,9 +317,8 @@ def _report(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
     idx_z, c_z, pat_z, group_z = z.patterns(tol)
     # Whether a pair blocks depends only on its two tag patterns, so decide the
     # grid once per pattern pair (parties in pairing order), expand the blocking ones.
-    merged = _merged_subsystems(w.layout, z.layout, pairing)[::2]
-    pat_w = pat_w[:, [p // 2 for p, _ in merged]]
-    pat_z = pat_z[:, [q // 2 for _, q in merged]]
+    pat_w = pat_w[:, [w.layout.party_index(p[0]) for p in pairing.pairs]]
+    pat_z = pat_z[:, [z.layout.party_index(p[1]) for p in pairing.pairs]]
     blocks = ~_allowed(pat_w[:, None, :] | pat_z[None, :, :])
     pairs, per_party = [], []
     if blocks.any():

@@ -104,6 +104,16 @@ class TestPairing:
         with pytest.raises(ValueError):
             PartyPairing((("X", "X", "A"), ("Y", "Y", "A")))
 
+    def test_pairing_built_from_lists(self):
+        """Pairs given as lists are kept as tuples, and answer as they do."""
+        w = twoway_channel_process(2)
+        listed = PartyPairing([["X", "X", "A"], ["Y", "Y", "B"]])
+        tupled = PartyPairing((("X", "X", "A"), ("Y", "Y", "B")))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert find_blocking_pairs(w, w, pairing=listed) == find_blocking_pairs(w, w, pairing=tupled)
+        assert tensor_product(w, w, pairing=listed).layout == tensor_product(w, w, pairing=tupled).layout
+        assert check_sequence([w, w], pairings=[listed]) == check_sequence([w, w], pairings=[tupled])
+
 
 class TestTensorProduct:
     def test_state_processes_compose_freely(self):

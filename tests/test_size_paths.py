@@ -2,11 +2,11 @@
 no answer.
 
 Coefficient extraction multiplies only its live slices from
-``hsbasis._LIVE_MIN`` operand entries on, tag patterns are grouped with
-Python containers up to ``process._FEW_TERMS`` terms and with ``np.unique``
-past it, and a record whose checked Hermiticity defect is exactly 0 is
-eigendecomposed without its Hermitian-part copy. Each test sets the
-threshold to force one side and compares the two."""
+``hsbasis._LIVE_MIN`` operand entries on, and a record whose checked
+Hermiticity defect is exactly 0 is eigendecomposed without its
+Hermitian-part copy. Each test forces one side and compares the two. Tag
+patterns are grouped with a Python set, and are checked against
+``np.unique``."""
 
 import contextlib
 import itertools
@@ -45,13 +45,12 @@ def bits(*values) -> bytes:
 
 @contextlib.contextmanager
 def large_operator_paths():
-    """Every extraction step multiplies only its live slices, every grouping
-    calls ``np.unique`` and every spectrum reads the Hermitian-part copy:
-    the paths every operand took before they were selected by size."""
+    """Every extraction step multiplies only its live slices and every
+    spectrum reads the Hermitian-part copy: the paths every operand took
+    before they were selected by size."""
     real = linalg._hermitian_extremes
     with pytest.MonkeyPatch.context() as m:
         m.setattr(hsbasis, "_LIVE_MIN", 0)
-        m.setattr(process, "_FEW_TERMS", -1)
         m.setattr(linalg, "_hermitian_extremes", lambda a, hermitian=False: real(a))
         yield
 
@@ -237,16 +236,17 @@ class TestAnswersUnchanged:
                 want = answers(ps)
             assert answers(ps) == want
 
-    def test_a_grouping_past_the_threshold(self):
-        """A dim-256 extraction with more than ``_FEW_TERMS`` terms groups
-        them with ``np.unique``, as a small one does with Python sets."""
+    @pytest.mark.parametrize("n_terms", [0, 3, 60, 2000])
+    def test_groupings_are_those_of_np_unique(self, n_terms):
+        """The set-found patterns and each term's row in them are those of
+        ``np.unique``, from an all-trivial record to a dim-256 one with
+        thousands of terms."""
         layout = PartyLayout.of(("X", 4, 4), ("Y", 4, 4))
-        w = random_valid_process(layout, seed=3, n_terms=2000)
+        w = random_valid_process(layout, seed=3, n_terms=n_terms)
         rec = FactorRecord.of(w)
-        assert len(rec.values) > process._FEW_TERMS
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(process, "_FEW_TERMS", 1 << 20)
-            small = process._tag_patterns(rec.indices, rec.values)
-        large = process._tag_patterns(rec.indices, rec.values)
-        for a, b in zip(small, large):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        codes = process._pattern_codes(rec.indices)
+        patterns, group = np.unique(codes[codes != 0], return_inverse=True)
+        _, _, tags, got = process._tag_patterns(rec.indices, rec.values)
+        assert got.dtype == group.dtype and np.array_equal(got, group)
+        shifts = np.arange(0, 2 * layout.n_parties, 2, dtype=np.uint64)
+        assert np.array_equal((tags.astype(np.uint64) << shifts).sum(axis=1), patterns)
