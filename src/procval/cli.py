@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linalg
 from .gallery import gallery_entry, gallery_names
 from .io_format import ProcmatError, load_path, serialize
 from .oracle import normalization_oracle
@@ -199,8 +198,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if not 0.0 <= args.threshold < math.inf:
-        raise ValueError(f"--threshold must be a finite number >= 0, got {args.threshold!r}")
+    linalg._check_threshold("--threshold", args.threshold)
     if args.seed is None:
         env = os.environ.get("PROCVAL_SEED", "0")
         try:

@@ -7,6 +7,7 @@ Entry names are stable across releases; the CLI exports them by name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -127,7 +128,7 @@ def _allowed_patterns(layout: PartyLayout) -> np.ndarray:
     """Basis indices of the nontrivial terms the term rule allows, one row
     per term in lexicographic order."""
     sizes = [d * d for d in layout.subsystem_dims()]
-    if int(np.prod(sizes)) > (1 << 16):
+    if math.prod(sizes) > (1 << 16):
         raise ValueError("layout too large to enumerate term patterns densely")
     every = np.argwhere(np.ones(sizes, dtype=bool))
     indices, _, tags, group = _tag_patterns(every, np.ones(len(every)))

@@ -167,8 +167,8 @@ def _term_rows(coeffs: np.ndarray, tol: float | None) -> tuple[np.ndarray, np.nd
     negative one every zero."""
     if tol is None:
         tol = default_term_tol(coeffs)
-    elif not 0.0 <= tol < math.inf:
-        raise ValueError(f"term threshold must be a finite number >= 0, got {tol!r}")
+    else:
+        linalg._check_threshold("term threshold", tol)
     kept = (coeffs > tol) | (coeffs < -tol)
     return np.argwhere(kept), coeffs[kept]
 

@@ -8,6 +8,7 @@ All operators are square ``numpy`` arrays promoted to complex128.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import Iterable, Sequence
 
@@ -15,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "tensor",
-    "identity",
     "partial_trace",
     "permute_subsystems",
     "min_eigenvalue",
@@ -83,6 +83,13 @@ def _check_hermitian(a: np.ndarray, norm: float | None = None) -> float:
     return defect
 
 
+def _check_threshold(name: str, value) -> None:
+    """Raise ValueError unless ``value``, the threshold ``name`` a caller gave,
+    is a finite number >= 0: any other would pass or fail every input alike."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def _require_finite(m) -> np.ndarray:
     """Return ``m`` as complex128, raising ValueError on a non-finite entry:
     the check every spectrum in this package is read behind."""
@@ -90,13 +97,6 @@ def _require_finite(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
     return a
-
-
-def identity(d: int) -> np.ndarray:
-    """d-dimensional identity matrix."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return np.eye(d, dtype=np.complex128)
 
 
 def tensor(*factors) -> np.ndarray:
@@ -112,7 +112,7 @@ def _check_shape(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError("subsystem dimensions must be >= 1")
-    total = int(np.prod(dims)) if dims else 1
+    total = math.prod(dims)
     if total != m.shape[0]:
         raise ValueError(
             f"shape {dims} has total dimension {total}, matrix has {m.shape[0]}"
@@ -148,7 +148,7 @@ def partial_trace(m, dims: Sequence[int], discard: Iterable[int]) -> np.ndarray:
     # Trace out pairs from the highest index down so lower positions stay put.
     for k, i in enumerate(reversed(discard)):
         t = np.trace(t, axis1=i, axis2=i + n - k)
-    kept = int(np.prod([d for i, d in enumerate(dims) if i not in discard]))
+    kept = math.prod(d for i, d in enumerate(dims) if i not in discard)
     return np.ascontiguousarray(t.reshape(kept, kept))
 
 

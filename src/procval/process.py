@@ -230,13 +230,20 @@ def classify_term(term: HSTerm, layout: PartyLayout) -> TermSignature:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Validity thresholds; ``None`` means the scale-aware default applied in
-    :meth:`FactorRecord.check`: PSD ``1e-9 * ||W||_F``, trace ``1e-9 * d_out``,
-    term pruning ``1e-9 * max(1, max |coeff|)``."""
+    """Validity thresholds, each a finite number >= 0 when given. ``None``
+    means the scale-aware default: PSD ``1e-9 * ||W||_F`` and trace
+    ``1e-9 * d_out``, applied in :meth:`FactorRecord.psd_and_trace`, and term
+    pruning ``1e-9 * max(1, max |coeff|)``, applied in :func:`hsbasis._term_rows`."""
 
     psd: float | None = None
     trace: float | None = None
     term: float | None = None
+
+    def __post_init__(self):
+        for name in ("psd", "trace", "term"):
+            value = getattr(self, name)
+            if value is not None:
+                linalg._check_threshold(f"{name} threshold", value)
 
 
 @dataclass(frozen=True)
@@ -415,8 +422,8 @@ class FactorRecord:
         operator are sure to pass on what the record holds: its norm is far
         below the double range, and its ``defect`` (a bound, for a product)
         is within the Hermiticity tolerance of a norm ``c·ε`` smaller."""
-        return bool(self.norm <= _SAFE_NORM and self.defect <= 1e-12 * (
-            1.0 + (1.0 - _PRODUCT_ROUNDING) * self.norm))
+        return bool(self.norm <= _SAFE_NORM and self.defect <= linalg.hermitian_tolerance(
+            None, (1.0 - _PRODUCT_ROUNDING) * self.norm))
 
     def patterns(self, tol: float | None = None) -> tuple[np.ndarray, ...]:
         """:func:`_tag_patterns` of the terms with |coefficient| > ``tol``:
@@ -442,20 +449,25 @@ class FactorRecord:
             [self.lam_min, self.lam_max, self.norm, self.trace]).all())
 
     def check(self, tolerances: Tolerances) -> tuple[bool, float, float, tuple, np.ndarray]:
-        """The validity decision, and the one place the three thresholds of
-        ``tolerances`` are applied. Returns the verdict, the PSD defect (minus
-        the smallest eigenvalue), the trace defect, the tag patterns the term
+        """The validity decision: :meth:`psd_and_trace`, and the term rule on
+        the patterns of the terms kept at ``tolerances.term``. Returns the
+        verdict, the PSD defect, the trace defect, the tag patterns the term
         rule was read from, and the rows of the terms that break it."""
         _, _, tags, group = terms = self.patterns(tolerances.term)
         forbidden = np.flatnonzero(~_allowed(tags)[group])
+        ok, psd_defect, trace_defect = self.psd_and_trace(tolerances)
+        return ok and not len(forbidden), psd_defect, trace_defect, terms, forbidden
+
+    def psd_and_trace(self, tolerances: Tolerances) -> tuple[bool, float, float]:
+        """The one place the PSD and trace thresholds are applied: whether both
+        pass, the PSD defect (minus the smallest eigenvalue), the trace defect."""
         psd_defect = -self.lam_min
         trace_defect = abs(self.trace - self.layout.d_out)
         psd_tol = 1e-9 * self.norm if tolerances.psd is None else tolerances.psd
         trace_tol = 1e-9 * self.layout.d_out if tolerances.trace is None else tolerances.trace
         # An overflowed defect or threshold (inf <= inf) says nothing, so it fails.
-        psd_ok = -np.inf < psd_defect <= psd_tol < np.inf
-        verdict = bool(psd_ok and trace_defect <= trace_tol and not len(forbidden))
-        return verdict, psd_defect, trace_defect, terms, forbidden
+        ok = bool(-np.inf < psd_defect <= psd_tol < np.inf and trace_defect <= trace_tol)
+        return ok, psd_defect, trace_defect
 
     @cached_property
     def valid(self) -> bool:
@@ -542,12 +554,12 @@ def reduced_process(w: ProcessMatrix,
     pos = 0
     for party in w.layout.parties:
         red = keep.get(party.name) or PartyReduction.whole(party)
-        if int(np.prod(red.in_factors)) != party.d_in:
+        if math.prod(red.in_factors) != party.d_in:
             raise ValueError(
                 f"party {party.name!r}: input factors {red.in_factors} do not "
                 f"multiply to {party.d_in}"
             )
-        if int(np.prod(red.out_factors)) != party.d_out:
+        if math.prod(red.out_factors) != party.d_out:
             raise ValueError(
                 f"party {party.name!r}: output factors {red.out_factors} do not "
                 f"multiply to {party.d_out}"
@@ -565,10 +577,10 @@ def reduced_process(w: ProcessMatrix,
             pos += 1
         new_parties.append(Party(
             name=party.name,
-            d_in=int(np.prod([red.in_factors[k] for k in red.keep])),
-            d_out=int(np.prod([red.out_factors[k] for k in red.keep])),
+            d_in=int(math.prod(red.in_factors[k] for k in red.keep)),
+            d_out=int(math.prod(red.out_factors[k] for k in red.keep)),
         ))
     traced = linalg.partial_trace(w.op, refined_dims, discard)
-    discarded_out = w.layout.d_out // int(np.prod([p.d_out for p in new_parties]))
+    discarded_out = w.layout.d_out // math.prod(p.d_out for p in new_parties)
     return ProcessMatrix(layout=PartyLayout(tuple(new_parties)),
                          op=traced / discarded_out)

@@ -53,6 +53,7 @@ from .process import (
     Party,
     PartyLayout,
     ProcessMatrix,
+    Tolerances,
     _allowed,
     _checked_rows,
     _first_of_each_pattern,
@@ -144,14 +145,6 @@ def _merged_subsystems(w_layout: PartyLayout, z_layout: PartyLayout,
         j = z_layout.party_index(zn)
         out += [(2 * i, 2 * j), (2 * i + 1, 2 * j + 1)]
     return out
-
-
-def _product_extremes(w: tuple[float, float],
-                      z: tuple[float, float]) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of ``W ⊗ Z`` from those of ``W`` and
-    ``Z``: the extremes of the four products."""
-    products = [p * q for p in w for q in z]
-    return min(products), max(products)
 
 
 def _built(w: ProcessMatrix, z: ProcessMatrix, pairing: PartyPairing,
@@ -262,12 +255,13 @@ def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
     (:func:`procval.hsbasis._merge_rows`), and of those the first row of
     each merged pattern. Nothing is pruned, so its patterns are exactly the
     ORs of a pattern of each factor, those of every pair of rows multiplied
-    out. Its entries may overflow;
-    the caller checks them. Its ``defect`` bounds the product's entrywise
-    Hermiticity defect: ``|w_ij z_kl − conj(w_ji z_lk)|`` is at most
-    ``δ_W |z_kl| + |w_ji| δ_Z``, each entry is at most the norm, and the
-    last term covers the rounding of the product's entries and norm."""
-    lam_min, lam_max = _product_extremes((w.lam_min, w.lam_max), (z.lam_min, z.lam_max))
+    out. Its extreme eigenvalues are the extremes of the four products of
+    the factors'. Its entries may overflow; the caller checks them. Its
+    ``defect`` bounds the product's entrywise Hermiticity defect:
+    ``|w_ij z_kl − conj(w_ji z_lk)|`` is at most ``δ_W |z_kl| + |w_ji| δ_Z``,
+    each entry is at most the norm, and the last term covers the rounding of
+    the product's entries and norm."""
+    products = [p * q for p in (w.lam_min, w.lam_max) for q in (z.lam_min, z.lam_max)]
     with np.errstate(over="ignore", invalid="ignore"):
         indices, values = _first_of_each_pattern(*hsbasis._merge_rows(
             _first_of_each_pattern(w.indices, w.values),
@@ -277,8 +271,8 @@ def _merge_records(w: FactorRecord, z: FactorRecord, pairing: PartyPairing,
         layout=layout,
         indices=indices,
         values=values,
-        lam_min=lam_min,
-        lam_max=lam_max,
+        lam_min=min(products),
+        lam_max=max(products),
         norm=w.norm * z.norm,
         trace=w.trace * z.trace,
         defect=w.defect * z.norm + w.norm * z.defect + _PRODUCT_ROUNDING * w.norm * z.norm,
@@ -461,20 +455,18 @@ def _pattern_check(w: ProcessMatrix, z: ProcessMatrix, rw: FactorRecord, rz: Fac
     factors' pattern weights, with no operator basis and no term rows, and
     its forbidden weight ``Σ w(p)·w(q)`` over the factor pattern pairs whose
     OR breaks the term rule, which is ``‖F‖_F²`` of the product's forbidden
-    part ``F``. ``rw`` and ``rz`` are the factors' records, read for their
-    extreme eigenvalues, norms and traces only. The product is valid when
-    the four products of the extremes are at least ``−1e-9 ‖W‖_F ‖Z‖_F``,
-    ``tr W · tr Z`` is within ``1e-9 d_out`` of ``d_out``, and no OR of two
-    present factor patterns is forbidden."""
+    part ``F``. The product is valid when the PSD and trace checks pass on
+    the record ``rw`` and ``rz`` merge into (:meth:`FactorRecord.psd_and_trace`,
+    as for a built product) and no OR of two present factor patterns is
+    forbidden."""
+    # Merged first: merged after the weights, its allocations left the heap where
+    # later questions fault in about 8x the pages and answer about 10 % slower.
+    merged = _merge_records(rw, rz, pairing, combined_layout(w.layout, z.layout, pairing))
     fw, fz = _Weights.of(w), _Weights.of(z)
     weights = _merge_weights(fw.weights, fz.weights, w.layout, z.layout, pairing)
     present = _merge_weights(fw.present, fz.present, w.layout, z.layout, pairing) > 0
     forbidden = _forbidden(weights.shape)
-    lam_min = _product_extremes((rw.lam_min, rw.lam_max), (rz.lam_min, rz.lam_max))[0]
-    d_out = combined_layout(w.layout, z.layout, pairing).d_out
-    verdict = bool(-lam_min <= 1e-9 * rw.norm * rz.norm
-                   and abs(rw.trace * rz.trace - d_out) <= 1e-9 * d_out
-                   and not present[forbidden].any())
+    verdict = merged.psd_and_trace(Tolerances())[0] and not present[forbidden].any()
     return verdict, _ldexp(float(weights[forbidden].sum()), 2 * (fw.exp + fz.exp))
 
 

@@ -13,13 +13,16 @@ from procval import (
     PartyLayout,
     ProcessMatrix,
     TermSignature,
+    check_sequence,
     find_blocking_pairs,
     gallery_entry,
     gallery_names,
     hsbasis,
     is_valid_process,
+    linalg,
     normalization_oracle,
     serialize,
+    state_process,
     tensor_product,
     two_party_product_invalid,
     twoway_channel_process,
@@ -278,6 +281,72 @@ class TestProduct:
         out = capsys.readouterr().out
         assert "pattern-weight check of the product: invalid" in out and "(disagree)" in out
         assert "verdict: VALID" in out
+
+
+class TestProductThresholdEdge:
+    """The product's PSD and trace thresholds, ``1e-9 ‖W‖_F ‖Z‖_F`` and
+    ``1e-9 d_out``, are applied by ``FactorRecord.psd_and_trace`` on the
+    record merged from the factors' records. ``is_valid_process`` of the
+    built product, the ``w_valid`` of a fold's next step and the
+    pattern-weight check of ``procval product`` all read that record, so
+    they flip together at 0.5x and 2x of each threshold; the factor ``W``
+    flips at 0.5x and 2x of its own. ``W`` and ``Z`` hold input terms only,
+    so no pair blocks and only these two checks decide."""
+
+    @staticmethod
+    def answers(w, tmp_path, capsys):
+        z = gallery_entry("state-product-d2").process
+        paths = []
+        for name, p in (("w", w), ("z", z)):
+            path = tmp_path / f"{name}.procmat.json"
+            path.write_text(serialize(p), encoding="utf-8")
+            paths.append(str(path))
+        capsys.readouterr()
+        assert main(["product", *paths, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["blocking_pairs"] == []
+        report = is_valid_process(tensor_product(w, z))
+        assert not report.forbidden_terms
+        assert check_sequence([w, z, z]).steps[1].w_valid is report.verdict
+        return report, payload["pattern_verdict"]
+
+    @staticmethod
+    def negative(d):
+        """A process with the single negative eigenvalue ``-d``: the input
+        state ``diag(1 + d, 0, 0, -d)``, unit trace per output."""
+        return state_process(np.diag([1.0 + d, 0.0, 0.0, -d]), QUBIT_BIPARTITE, tol=1e-6)
+
+    @pytest.mark.parametrize("factor, valid", [(0.5, True), (2.0, False)])
+    def test_psd(self, tmp_path, capsys, factor, valid):
+        z = gallery_entry("state-product-d2").process
+        lam_z = linalg.eigenvalue_range(z.op)[1]
+        norm_w = linalg.frobenius(self.negative(0.0).op)
+        limit = 1e-9 * norm_w * linalg.frobenius(z.op)
+        # The product's smallest eigenvalue is -d times Z's largest.
+        report, pattern_verdict = self.answers(self.negative(factor * limit / lam_z),
+                                               tmp_path, capsys)
+        assert report.psd_defect == pytest.approx(factor * limit, rel=1e-6)
+        assert report.trace_defect <= 1e-14
+        assert report.verdict is pattern_verdict is valid
+        own = is_valid_process(self.negative(factor * 1e-9 * norm_w))
+        assert own.psd_defect == pytest.approx(factor * 1e-9 * norm_w, rel=1e-6)
+        assert own.verdict is valid
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("factor, valid", [(0.5, True), (2.0, False)])
+    def test_trace(self, tmp_path, capsys, sign, factor, valid):
+        """``W = I/4 + t I`` is off its trace ``d_out = 4`` by ``16 t``, and
+        the product, ``tr W · tr Z``, by ``16 t · 4``: both thresholds are
+        passed at the same ``t``."""
+        t = sign * factor * 1e-9 * 4 / 16
+        w = ProcessMatrix(QUBIT_BIPARTITE, (0.25 + t) * np.eye(16))
+        report, pattern_verdict = self.answers(w, tmp_path, capsys)
+        assert report.trace_defect == pytest.approx(factor * 1e-9 * 16, rel=1e-6)
+        assert report.psd_defect <= 0
+        assert report.verdict is pattern_verdict is valid
+        own = is_valid_process(w)
+        assert own.trace_defect == pytest.approx(factor * 1e-9 * 4, rel=1e-6)
+        assert own.verdict is valid
 
 
 class TestOracle:

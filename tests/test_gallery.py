@@ -188,6 +188,13 @@ class TestRandomValidProcess:
         b = random_valid_process(QUBIT_BIPARTITE, seed=9)
         assert np.array_equal(a.op, b.op)
 
+    def test_too_many_patterns_refused(self):
+        """16 qubit parties have ``4**32 = 2**64`` term patterns, which a
+        product in int64 wraps to 0."""
+        layout = PartyLayout.of(*((f"P{k}", 2, 2) for k in range(16)))
+        with pytest.raises(ValueError, match="layout too large to enumerate term patterns densely"):
+            random_valid_process(layout, seed=1)
+
 
 def test_names_build_no_entry(monkeypatch):
     """``gallery_names`` reads the static list of entries: it builds no

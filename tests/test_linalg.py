@@ -105,6 +105,11 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             linalg.partial_trace(np.eye(4), (2, 3), {0})
 
+    def test_total_dimension_past_int64(self):
+        """``2**32 · 2**32 · 16 = 2**68``, which a product in int64 wraps to 0."""
+        with pytest.raises(ValueError, match=f"has total dimension {2**68}, matrix has 16$"):
+            linalg.partial_trace(np.eye(16), (2**32, 2**32, 16), [0])
+
 
 class TestPermuteSubsystems:
     def test_identity_perm(self):

@@ -218,7 +218,9 @@ class TestForbiddenTerms:
 class TestTermThresholdInput:
     """An explicit term threshold must be a finite number >= 0: NaN keeps no
     term and passes an invalid product, a negative one lists every zero
-    coefficient. Each entry point raises the one ``ValueError``."""
+    coefficient. Each entry point raises the one ``ValueError``. So must an
+    explicit PSD or trace threshold: ``Tolerances(trace=inf)`` would pass
+    any trace, and ``Tolerances(psd=inf)`` would fail every operator."""
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0, -0.5e-300])
     def test_rejected_everywhere(self, bad):
@@ -233,6 +235,10 @@ class TestTermThresholdInput:
         for call in calls:
             with pytest.raises(ValueError, match="term threshold must be a finite number >= 0"):
                 call()
+        for name in ("psd", "trace"):
+            with pytest.raises(ValueError,
+                               match=f"^{name} threshold must be a finite number >= 0, got "):
+                Tolerances(**{name: bad})
 
     def test_zero_and_the_default_still_work(self):
         w = twoway_channel_process(2)
@@ -243,6 +249,8 @@ class TestTermThresholdInput:
         assert find_blocking_pairs(w, w, tol=0.0).verdict is False
         assert hsbasis.decompose(w.op, w.layout.subsystem_dims(), tol=0.0) == w.terms()
         assert is_valid_process(squared, Tolerances()).verdict is False
+        assert is_valid_process(w, Tolerances(psd=0, trace=0.0)).verdict is True
+        assert is_valid_process(squared, Tolerances(psd=0.0, trace=0)).verdict is False
 
 
 class TestToleranceEdge:
