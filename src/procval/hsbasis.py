@@ -93,24 +93,15 @@ def _extraction_matrix(d: int) -> np.ndarray:
     return np.stack([op.T.reshape(-1) for op in make_basis(d).ops])
 
 
-# Operand size (entries) from which a step of _contract multiplies only its
-# live slices. Below it, finding them costs more than the plain multiply:
-# extracting a dim-16 operator takes 31 us plain against 62 us, a dim-32 one
-# 110 against 230, and at dim 81 the two are even. A sparse dim-128 product
-# extracts in 274 us against 331 plain, and a dim-256 gallery product in
-# 1.9 ms against 3.8 (one BLAS thread, best of 5).
-_LIVE_MIN = 1 << 13
-
-
 def _contract(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     """Apply ``mats[k]`` to axis ``k`` of ``x``, for every ``k``: each step
     contracts the leading axis and appends the new one at the end. A step
-    whose operand has ``_LIVE_MIN`` entries or more multiplies only the
+    whose operand has ``linalg._LIVE_MIN`` entries or more multiplies only the
     slices that hold a nonzero entry; the others come out zero either way,
     up to the sign of a zero."""
     for t in mats:
         x = x.reshape(t.shape[1], -1)
-        live = np.flatnonzero(x.any(axis=0)) if x.size >= _LIVE_MIN else None
+        live = np.flatnonzero(x.any(axis=0)) if x.size >= linalg._LIVE_MIN else None
         if live is None or len(live) == x.shape[1]:
             x = x.T @ t.T
         else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -156,9 +157,16 @@ def probability(w: ProcessMatrix, channels: Sequence[ChoiChannel]) -> float:
     c_tot = linalg.tensor(*(ch.choi for ch in channels))
     # trace(W C^T) contracts entrywise: sum_ij W[i,j] C[i,j].
     p = complex(np.sum(w.op * c_tot))
-    if abs(p.imag) > 1e-10 * (1.0 + abs(p.real)):
+    if _imaginary_residue(p):
         raise ValueError(f"probability has imaginary residue {p.imag:.3e}")
     return float(p.real)
+
+
+def _imaginary_residue(p):
+    """Whether each probability of ``p`` is not real: ``|Im p| > 1e-10
+    (1 + |Re p|)``. NaN compares false here; the callers count a non-finite
+    probability as a deviation."""
+    return np.abs(np.imag(p)) > 1e-10 * (1.0 + np.abs(np.real(p)))
 
 
 def _hermitian_units(d: int) -> tuple[np.ndarray, list[str]]:
@@ -179,14 +187,20 @@ class _PartySweep:
     of |k><k|-|k+1><k+1| or an off-diagonal unit of the output. ||h x s|| <= 1
     and tr(s) = 0 make each a channel; the affine rank is d_in^2 (d_out^2 - 1)
     + 1, one more than the channel set's dimension. Member m is I x I/d_out +
-    in_rows[i] x out_rows[o], with (i, o) = divmod(pair[m], len(out_rows))."""
+    in_rows[i] x out_rows[o], with (i, o) = divmod(pair[m], len(out_rows)).
+    Built once per party shape, with read-only arrays."""
 
     in_rows: np.ndarray  # I, then the h
     out_rows: np.ndarray  # I/d_out, the |k><k| - I/d_out, then the s/d_out
-    labels: tuple[list[str], list[str]]  # of the h and of the s
+    labels: tuple[tuple[str, ...], tuple[str, ...]]  # of the h and of the s
     pair: np.ndarray
 
+    def __post_init__(self):
+        for a in (self.in_rows, self.out_rows, self.pair):
+            a.setflags(write=False)
+
     @staticmethod
+    @lru_cache(maxsize=None)
     def of(d_in: int, d_out: int) -> "_PartySweep":
         hs, h_labels = _hermitian_units(d_in)
         us, u_labels = _hermitian_units(d_out)
@@ -197,7 +211,7 @@ class _PartySweep:
                              np.arange(1 + d_out, 1 + d_out + len(ss)))
         return _PartySweep(np.concatenate([np.eye(d_in)[None], hs]),
                            np.concatenate([mix[None], us[:d_out] - mix, ss / d_out]),
-                           (h_labels, s_labels), np.r_[1:1 + d_out, tilts.ravel()])
+                           (tuple(h_labels), tuple(s_labels)), np.r_[1:1 + d_out, tilts.ravel()])
 
     def channel(self, m: int) -> ChoiChannel:
         d_in, d_out = len(self.in_rows[0]), len(self.out_rows[0])
@@ -229,8 +243,7 @@ def _sweep(w: ProcessMatrix) -> tuple[float, tuple[ChoiChannel, ...], int]:
     """Largest |p - 1| over the sweep, a tuple reaching it, the tuple count."""
     sweeps = [_PartySweep.of(party.d_in, party.d_out) for party in w.layout.parties]
     p = _sweep_probabilities(w, sweeps)
-    # probability's residue test; NaN compares false and counts as a deviation
-    residue = np.abs(p.imag) > 1e-10 * (1.0 + np.abs(p.real))
+    residue = _imaginary_residue(p)
     if residue.any():
         raise ValueError(f"probability has imaginary residue {p.imag[residue][0]:.3e}")
     dev = np.abs(p.real - 1.0)

@@ -36,7 +36,6 @@ from helpers import (
     SQUARED_TWOWAY_WITNESS,
     dense_forbidden_weight,
     dense_product,
-    record_eigvalsh_dims,
 )
 
 
@@ -196,17 +195,22 @@ class TestProduct:
 
     @pytest.mark.parametrize("second, dim", [("oneway-xy-d2", 256), ("twoway-d4", 4096)])
     def test_cross_check_stays_at_factor_size(self, docs, capsys, monkeypatch, second, dim):
-        """Every ``eigvalsh`` and every extraction is of a factor, one of each
+        """Every spectrum and every extraction is of a factor, one of each
         per factor for the records; the cross-check reads the records'
-        extremes and runs neither."""
-        extracted, real = [], hsbasis._extract
+        extremes and takes neither."""
+        extracted, dims = [], []
+        real_extract, real_extremes = hsbasis._extract, linalg._hermitian_extremes
 
-        def spy(m, dims, *args):
+        def spy(m, sub, *args):
             extracted.append(len(m))
-            return real(m, dims, *args)
+            return real_extract(m, sub, *args)
+
+        def spectrum_spy(a, *args):
+            dims.append(len(a))
+            return real_extremes(a, *args)
 
         monkeypatch.setattr(hsbasis, "_extract", spy)
-        dims = record_eigvalsh_dims(monkeypatch)
+        monkeypatch.setattr(linalg, "_hermitian_extremes", spectrum_spy)
         assert main(["product", docs["twoway-d2"], docs[second]]) == 1
         out = capsys.readouterr().out
         assert f"dim {dim} " in out and "invalid, forbidden weight" in out and "(agree)" in out

@@ -8,9 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 from procval import PartyLayout, ProcessMatrix, gallery_entry, gallery_names, linalg
 
-from helpers import cyclic_triple, gell_mann_weights, random_hermitian
+from helpers import cyclic_triple, gell_mann_weights, random_hermitian, record_eigvalsh_dims
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
+EPS = 2.0 ** -52
 
 
 def kron_reference(a, b):
@@ -209,6 +210,107 @@ class TestMinEigenvalue:
         m[1, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             linalg.min_eigenvalue(m)
+
+
+def hidden_blocks(dim, rng, sizes=range(1, 9)):
+    """A Hermitian operator of random dense blocks of the given sizes down
+    its diagonal, rows and columns then shuffled by one permutation; and the
+    block sizes."""
+    out, cuts = np.zeros((dim, dim), dtype=complex), []
+    while sum(cuts) < dim:
+        cuts.append(min(int(rng.choice(sizes)), dim - sum(cuts)))
+    at = 0
+    for k in cuts:
+        out[at:at + k, at:at + k] = random_hermitian(k, rng)
+        at += k
+    perm = rng.permutation(dim)
+    return out[np.ix_(perm, perm)], sorted(cuts)
+
+
+def whole_extremes(h):
+    lam = np.linalg.eigvalsh(h)
+    return lam[0], lam[-1]
+
+
+class TestBlockSpectrum:
+    """From ``_LIVE_MIN`` entries on, a spectrum is read per coupled block
+    of the Hermitian part's nonzero pattern; the reference is one
+    ``np.linalg.eigvalsh`` of the whole operator, called directly."""
+
+    @pytest.mark.parametrize("dim", [128, 256])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hidden_blocks_agree_with_eigvalsh(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        h, cuts = hidden_blocks(dim, rng)
+        blocks = linalg._coupled_blocks(h)
+        assert sorted(k for b in blocks for k in [b.shape[1]] * len(b)) == cuts
+        got, want = linalg.eigenvalue_range(h), whole_extremes(h)
+        assert np.abs(np.subtract(got, want)).max() <= 64 * EPS * linalg.frobenius(h)
+
+    def test_blocks_of_one_size_share_one_call(self, monkeypatch):
+        h, _ = hidden_blocks(128, np.random.default_rng(1), sizes=[1, 3])
+        shapes, real = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or real(a))
+        linalg.eigenvalue_range(h)
+        assert len(shapes) == 1 and shapes[0][1:] == (3, 3)
+
+    def test_diagonal_gives_its_exact_extremes(self, monkeypatch):
+        values = np.random.default_rng(2).normal(size=256)
+        values[::7] = 0.0
+        dims = record_eigvalsh_dims(monkeypatch)
+        assert linalg.eigenvalue_range(np.diag(values)) == (values.min(), values.max())
+        assert dims == []
+
+    @pytest.mark.parametrize("zero_in_first_column", [False, True])
+    def test_dense_operator_makes_one_whole_call(self, monkeypatch, zero_in_first_column):
+        h = random_hermitian(128, np.random.default_rng(3))
+        if zero_in_first_column:
+            h[5, 0] = h[0, 5] = 0.0
+        want = whole_extremes(h)
+        dims = record_eigvalsh_dims(monkeypatch)
+        assert linalg.eigenvalue_range(h) == want and dims == [128]
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_tridiagonal_settles_or_falls_back(self, shuffled):
+        """A path is the longest chain the search can meet: it settles as
+        one block or gives up after its passes, and the extremes hold."""
+        rng = np.random.default_rng(4)
+        h = np.diag(rng.normal(size=512)).astype(complex)
+        off = rng.normal(size=511) + 1j * rng.normal(size=511)
+        h += np.diag(off, -1) + np.diag(off.conj(), 1)
+        if shuffled:
+            perm = rng.permutation(512)
+            h = h[np.ix_(perm, perm)]
+        assert linalg._coupled_blocks(h) is None
+        got, want = linalg.eigenvalue_range(h), whole_extremes(h)
+        assert np.abs(np.subtract(got, want)).max() <= 64 * EPS * linalg.frobenius(h)
+
+    def test_defect_reads_the_pattern_of_the_hermitian_part(self, monkeypatch):
+        """Entries ``±δ`` that cancel in ``(M + M†)/2`` couple nothing."""
+        values = np.random.default_rng(5).normal(size=128)
+        m = np.diag(values).astype(complex)
+        m[3, 90], m[90, 3] = 1e-13, -1e-13
+        assert linalg.hermiticity_defect(m) > 0
+        dims = record_eigvalsh_dims(monkeypatch)
+        assert linalg.eigenvalue_range(m) == (values.min(), values.max()) and dims == []
+
+    def test_an_imaginary_entry_couples(self):
+        """``i|3><90| - i|90><3|`` joins rows 3 and 90 into one 2 x 2 block,
+        whose eigenvalues are ``±1`` beyond the diagonal's ``[-0.5, 0.5]``."""
+        values = np.random.default_rng(7).uniform(-0.5, 0.5, size=128)
+        values[3] = values[90] = 0.0
+        h = np.diag(values).astype(complex)
+        h[3, 90], h[90, 3] = 1j, -1j
+        assert [b.shape for b in linalg._coupled_blocks(h)] == [(126, 1), (1, 2)]
+        assert linalg.eigenvalue_range(h) == pytest.approx((-1.0, 1.0), abs=64 * EPS)
+
+    def test_rows_of_zeros_are_blocks_of_their_own(self):
+        h, _ = hidden_blocks(128, np.random.default_rng(6), sizes=[2])
+        h[:, 7] = h[7, :] = 0.0
+        sizes = [b.shape for b in linalg._coupled_blocks(h)]
+        assert sizes == [(2, 1), (63, 2)]
+        got, want = linalg.eigenvalue_range(h), whole_extremes(h)
+        assert np.abs(np.subtract(got, want)).max() <= 64 * EPS * linalg.frobenius(h)
 
 
 def test_hermiticity_defect():

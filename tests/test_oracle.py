@@ -17,6 +17,7 @@ from procval import (
     tensor_product,
     twoway_channel_process,
 )
+from procval import oracle
 from procval.hsbasis import HSTerm
 from procval.oracle import (
     _PartySweep,
@@ -215,6 +216,19 @@ class TestNormalizationOracle:
         with pytest.raises(ValueError, match="imaginary residue"):
             normalization_oracle(ProcessMatrix(w.layout, op), samples=0)
 
+    def test_probability_residue_raises(self):
+        w = twoway_channel_process(2)
+        op = w.op.copy()
+        op[0, 0] += 1e-3j  # tr(W C^T) gains 1e-3j * C[0, 0] = 1e-3j / 4
+        with pytest.raises(ValueError, match="probability has imaginary residue 2.500e-04"):
+            probability(ProcessMatrix(w.layout, op), [depolarizing_channel(2)] * 2)
+
+    def test_sweep_and_probability_share_one_residue_rule(self, monkeypatch):
+        seen, real = [], oracle._imaginary_residue
+        monkeypatch.setattr(oracle, "_imaginary_residue", lambda p: seen.append(np.shape(p)) or real(p))
+        normalization_oracle(twoway_channel_process(2), samples=1)
+        assert seen == [(14 * 14,), ()]
+
     def test_evaluations_count_sweep_tuples_and_samples(self):
         # a qubit party has 2 preparations and 4 * 3 tilts
         verdict = normalization_oracle(twoway_channel_process(2), samples=7, seed=0)
@@ -260,6 +274,18 @@ class TestSweep:
         rank = np.linalg.matrix_rank(np.concatenate([diffs.real, diffs.imag], axis=1))
         assert rank + 1 == d_in ** 2 * (d_out ** 2 - 1) + 1
         assert [ch.label for ch in members[:d_out]] == [f"prepare|{k}>" for k in range(d_out)]
+
+    def test_sets_are_built_once_per_party_shape(self):
+        sweep = _PartySweep.of(2, 3)
+        assert _PartySweep.of(2, 3) is sweep
+        for a in (sweep.in_rows, sweep.out_rows, sweep.pair):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        w = twoway_channel_process(2)
+        a, b = normalization_oracle(w), normalization_oracle(w)
+        assert (a.witness_label, a.evaluations) == (b.witness_label, b.evaluations)
+        assert all(x.label == y.label and np.array_equal(x.choi, y.choi)
+                   for x, y in zip(a.witness, b.witness))
 
     @pytest.mark.parametrize("layout", [
         PartyLayout.of(("A", 1, 2), ("B", 2, 1), ("C", 2, 2)),
@@ -314,6 +340,18 @@ class TestOracleAgreesWithTermRule:
             assert normalization_oracle(w, samples=40, seed=1).max_deviation < 1e-9
         for w in _violators(valid, rng):
             assert normalization_oracle(w, samples=0).max_deviation > 1e-6
+
+    def test_sets_are_built_once_per_party_shape(self):
+        sweep = _PartySweep.of(2, 3)
+        assert _PartySweep.of(2, 3) is sweep
+        for a in (sweep.in_rows, sweep.out_rows, sweep.pair):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        w = twoway_channel_process(2)
+        a, b = normalization_oracle(w), normalization_oracle(w)
+        assert (a.witness_label, a.evaluations) == (b.witness_label, b.evaluations)
+        assert all(x.label == y.label and np.array_equal(x.choi, y.choi)
+                   for x, y in zip(a.witness, b.witness))
 
     @pytest.mark.parametrize("layout", [
         PartyLayout.of(("A", 1, 2), ("B", 2, 1), ("C", 2, 2)),

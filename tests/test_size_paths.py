@@ -1,17 +1,20 @@
 """Small operands skip the large-operator machinery, and the skip changes
 no answer.
 
-Coefficient extraction multiplies only its live slices from
-``hsbasis._LIVE_MIN`` operand entries on, and a record whose checked
-Hermiticity defect is exactly 0 is eigendecomposed without its
-Hermitian-part copy. Each test forces one side and compares the two. Tag
-patterns are grouped with a Python set, and are checked against
-``np.unique``."""
+From ``linalg._LIVE_MIN`` operand entries on, coefficient extraction
+multiplies only its live slices and a spectrum is read per coupled block
+of the nonzero pattern; a record whose checked Hermiticity defect is
+exactly 0 is eigendecomposed without its Hermitian-part copy. Each test
+forces one side and compares the two: bit for bit, except that a block's
+spectrum may differ from the whole operator's in the last bits, by at
+most ``64 ε ‖W‖_F``. Tag patterns are grouped with a Python set, and are
+checked against ``np.unique``."""
 
 import contextlib
 import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,18 +49,19 @@ def bits(*values) -> bytes:
 @contextlib.contextmanager
 def large_operator_paths():
     """Every extraction step multiplies only its live slices and every
-    spectrum reads the Hermitian-part copy: the paths every operand took
-    before they were selected by size."""
+    spectrum is one ``eigvalsh`` of the Hermitian-part copy: the paths
+    every operand took before they were selected by size."""
     real = linalg._hermitian_extremes
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(hsbasis, "_LIVE_MIN", 0)
+        m.setattr(linalg, "_LIVE_MIN", 0)
+        m.setattr(linalg, "_coupled_blocks", lambda h: None)
         m.setattr(linalg, "_hermitian_extremes", lambda a, hermitian=False: real(a))
         yield
 
 
 def extracted(op, dims, live_min):
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(hsbasis, "_LIVE_MIN", live_min)
+        m.setattr(linalg, "_LIVE_MIN", live_min)
         return hsbasis._extract(op, dims)
 
 
@@ -187,6 +191,41 @@ class TestHermitianExtremes:
         FactorRecord.of(w)
         FactorRecord.of(ProcessMatrix(w.layout, bent))
         assert seen[0] is w.op and seen[1] is not bent
+
+    @pytest.mark.parametrize("w", BASE_NAMES)
+    def test_gallery_pairs_read_by_block_and_whole(self, w):
+        """The record-free copies of the 25 gallery qubit pairs (dim 256,
+        coupled blocks of 1 to 4 entries): their extremes read per block
+        (``_LIVE_MIN`` 0) are those of one whole ``eigvalsh`` (``_LIVE_MIN``
+        past any size) within ``64 ε ‖W‖_F``, and so is their PSD defect."""
+        for z in BASE_NAMES:
+            p = tensor_product(gallery_entry(w).process, gallery_entry(z).process)
+            copy = ProcessMatrix(p.layout, p.op)
+            got = {}
+            for live_min in (0, 1 << 62):
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(linalg, "_LIVE_MIN", live_min)
+                    rec = FactorRecord.of(copy)
+                    got[live_min] = (rec.lam_min, rec.lam_max, is_valid_process(copy).psd_defect)
+            bound = 64 * 2.0 ** -52 * rec.norm
+            assert np.abs(np.subtract(got[0], got[1 << 62])).max() <= bound, (w, z)
+
+    def test_dim_4096_diagonal_makes_no_dim_squared_array(self):
+        """The spectrum of a dim-4096 diagonal operator (268 MB) is read off
+        its diagonal, at a traced peak far below one dim² array even of
+        bools (16 MB)."""
+        values = np.random.default_rng(7).normal(size=4096)
+        values[::5] = 0.0
+        a = np.zeros((4096, 4096), dtype=complex)
+        a[np.diag_indices(4096)] = values
+        tracemalloc.start()
+        try:
+            got = linalg._hermitian_extremes(a, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (values.min(), values.max())
+        assert peak < 16 * 2**20, peak
 
 
 def answers(ps):
