@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -21,7 +20,6 @@ from .gallery import gallery_entry, gallery_names
 from .io_format import ProcmatError, load_path, serialize
 from .oracle import normalization_oracle
 from .process import (
-    _SAFE_NORM,
     FactorRecord,
     PartyReduction,
     Tolerances,
@@ -144,9 +142,9 @@ def cmd_product(args) -> int:
     # find_blocking_pairs, keeping each input's record for the two-party shortcut.
     resolved = _resolve_pairing(w.layout, z.layout, pairing)
     rw, rz = FactorRecord.of(w), FactorRecord.of(z)
-    if not rw.norm * rz.norm <= _SAFE_NORM:
+    if not rw.norm * rz.norm <= linalg._SAFE_NORM:
         raise ValueError(f"the product overflows: its Frobenius norm {rw.norm * rz.norm:.6g} "
-                         f"is above {_SAFE_NORM:g}")
+                         f"is above {linalg._SAFE_NORM:g}")
     report = _report(rw, rz, resolved, tol=None)
     lines = [f"product {args.file_w} x {args.file_z}", _layout_line(report.layout)]
     if not report.w_valid or not report.z_valid:
@@ -182,8 +180,8 @@ def cmd_product(args) -> int:
         payload["two_party_check_invalid"] = loop
         lines.append(f"two-party signalling check: product {'invalid' if loop else 'valid'}")
 
-    # Cross-check at factor size: the factors' pattern weights, which share
-    # no basis and no term row with the verdict above.
+    # Cross-check at factor size, from the factors' pattern weights: of the
+    # verdict above it shares only the merged record's extremes and trace.
     pattern_verdict, forbidden_weight = _pattern_check(w, z, rw, rz, resolved)
     payload["pattern_verdict"] = pattern_verdict
     payload["forbidden_weight"] = forbidden_weight
@@ -199,12 +197,6 @@ def cmd_product(args) -> int:
 
 def cmd_oracle(args) -> int:
     linalg._check_threshold("--threshold", args.threshold)
-    if args.seed is None:
-        env = os.environ.get("PROCVAL_SEED", "0")
-        try:
-            args.seed = int(env)
-        except ValueError:
-            raise ValueError(f"PROCVAL_SEED must be an integer, got {env!r}") from None
     w = load_path(args.file)
     verdict = normalization_oracle(w, samples=args.samples, seed=args.seed)
     code = 0 if verdict.max_deviation <= args.threshold else 1
@@ -327,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--samples", type=int, default=0,
                    help="random channel tuples to add to the exact sweep (default 0)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed of the random tuples (default $PROCVAL_SEED or 0); "
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random tuples (default 0); "
                         "matters only with --samples N > 0")
     p.add_argument("--threshold", type=float, default=DEFAULT_ORACLE_THRESHOLD)
     p.add_argument("--json", action="store_true")

@@ -180,12 +180,12 @@ def _canonical_document(text: str | bytes) -> dict | None:
     entry lines are checked and decoded, each once, and the entries gathered
     from them (:func:`_line_numbers`); a line's bytes fix its value, and the
     layout checks of a body hold for every line of it exactly when they hold
-    for each distinct line. Anything
-    else (other whitespace, ``NaN``, ``true``, strings, an integer beyond the
-    double range, a truncated document, bytes that are not UTF-8) gives None,
-    and the general path reads the text and raises its errors. Every byte of
-    a match is decoded or checked, so a document that is not UTF-8 never
-    matches."""
+    for each distinct line. Anything else (other whitespace, ``NaN``,
+    ``true``, strings, an integer beyond the double range, a truncated
+    document, bytes that are not UTF-8, metadata nested too deeply to
+    decode) gives None, and the general path reads the text and raises its
+    errors. Every byte of a match is decoded or checked, so a document that
+    is not UTF-8 never matches."""
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     head = _CANONICAL_HEAD.match(data)
     tail_at = data.rfind(b"\n    ]\n  }")
@@ -216,7 +216,7 @@ def _canonical_document(text: str | bytes) -> dict | None:
             return None
         values = json.loads(b"[" + body.translate(None, b"[] \n") + b"]")
         flat = np.fromiter(values, dtype=np.float64, count=2 * m)
-    except (ValueError, OverflowError):  # JSON or UTF-8 errors, integers past the double range
+    except (ValueError, OverflowError, RecursionError):  # see the docstring
         return None
     entries = flat.view(np.complex128)
     doc["matrix"]["entries"] = entries if index is None else entries[index]
@@ -237,6 +237,8 @@ def parse_document(text: str | bytes) -> tuple[ProcessMatrix, dict]:
             raise MalformedDocumentError(
                 f"invalid JSON: {err.msg}", f"line {err.lineno}, column {err.colno}"
             ) from err
+        except RecursionError:
+            raise MalformedDocumentError("invalid JSON: nested too deeply to decode", "$") from None
     _require(isinstance(doc, dict), MalformedDocumentError,
              "document must be a JSON object", "$")
     version = doc.get("format_version")
@@ -255,8 +257,8 @@ def parse_document(text: str | bytes) -> tuple[ProcessMatrix, dict]:
         name = p.get("name")
         _require(isinstance(name, str) and name != "", MalformedDocumentError,
                  "party name must be a non-empty string", loc)
-        for key in ("d_in", "d_out"):
-            _require(isinstance(p.get(key), int) and p[key] >= 1,
+        for key in ("d_in", "d_out"):  # JSON true decodes to a bool, which is an int
+            _require(type(p.get(key)) is int and p[key] >= 1,
                      DimensionError, f"{key} must be a positive integer", loc)
         parties.append(Party(name=name, d_in=p["d_in"], d_out=p["d_out"]))
     try:
@@ -268,7 +270,7 @@ def parse_document(text: str | bytes) -> tuple[ProcessMatrix, dict]:
     _require(isinstance(matrix, dict), MalformedDocumentError,
              "matrix must be an object", "matrix")
     dim = matrix.get("dim")
-    _require(isinstance(dim, int) and dim >= 1, DimensionError,
+    _require(type(dim) is int and dim >= 1, DimensionError,
              "matrix.dim must be a positive integer", "matrix.dim")
     _require(dim == layout.dim, DimensionError,
              f"matrix.dim = {dim} but the parties imply {layout.dim}", "matrix.dim")

@@ -90,13 +90,16 @@ def _check_threshold(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
-def _require_finite(m) -> np.ndarray:
-    """Return ``m`` as complex128, raising ValueError on a non-finite entry:
-    the check every spectrum in this package is read behind."""
+def _checked(m) -> tuple[np.ndarray, float, float]:
+    """``m`` as complex128, its :func:`frobenius` norm and its
+    :func:`hermiticity_defect`, after the one check that every record,
+    spectrum and term query reads behind: for a non-finite entry, then for
+    Hermiticity within the tolerance of that norm."""
     a = as_operator(m)
     if not np.isfinite(a).all():
         raise ValueError("matrix has a non-finite entry")
-    return a
+    norm = frobenius(a)
+    return a, norm, _check_hermitian(a, norm)
 
 
 def tensor(*factors) -> np.ndarray:
@@ -177,9 +180,10 @@ def eigenvalue_range(m) -> tuple[float, float]:
     per coupled block of its nonzero pattern (:func:`_hermitian_extremes`).
 
     Rejects inputs with a non-finite entry, and inputs that are not Hermitian
-    within the scale-aware :func:`hermitian_tolerance`.
+    within the scale-aware :func:`hermitian_tolerance` (:func:`_checked`);
+    an exactly Hermitian input is read without the Hermitian-part copy.
     """
-    return _hermitian_extremes(require_hermitian(_require_finite(m)))
+    return _hermitian_extremes(*_checked(m))
 
 
 # Operator size (entries) from which extraction multiplies only its live
@@ -193,20 +197,25 @@ def eigenvalue_range(m) -> tuple[float, float]:
 # 5-9 ms for one eigvalsh, and a dim-256 operator that is one block pays
 # about 0.06 ms for its first pass.
 _LIVE_MIN = 1 << 13
+# The norm up to which ``2 a`` and a product's entries and norm are surely
+# finite (docs/tolerances.md); a Python float, so that a bound past the
+# double range is infinite without a warning.
+_SAFE_NORM = 1e300
 
 
-def _hermitian_extremes(a: np.ndarray, hermitian: bool = False) -> tuple[float, float]:
-    """:func:`eigenvalue_range` of an operator that has passed its checks.
-    With ``hermitian`` the caller vouches that ``a`` equals ``a^dagger``
-    entry by entry and that ``2 a`` does not overflow, so ``a`` is its own
-    Hermitian part and is read without the copy: ``eigvalsh`` reads one
-    triangle, and its values are the same in both.
+def _hermitian_extremes(a: np.ndarray, norm: float, defect: float) -> tuple[float, float]:
+    """:func:`eigenvalue_range` of an operator ``a`` that has passed
+    :func:`_checked`, which gave its ``norm`` and ``defect``. A defect of
+    exactly 0 makes ``a`` equal to ``a^dagger`` entry by entry, and below
+    ``_SAFE_NORM`` ``2 a`` cannot overflow, so ``a`` is its own Hermitian
+    part and is read without the copy: ``eigvalsh`` reads one triangle,
+    and its values are the same in both.
 
     From ``_LIVE_MIN`` entries on, a Hermitian part whose nonzero pattern
     splits into coupled blocks (:func:`_coupled_blocks`) is read block by
     block: a 1 x 1 block's eigenvalue is its real diagonal entry, and the
     blocks of each size go through one stacked ``eigvalsh``."""
-    h = a if hermitian else (a + a.conj().T) / 2.0
+    h = a if defect == 0.0 and norm <= _SAFE_NORM else (a + a.conj().T) / 2.0
     blocks = _coupled_blocks(h) if h.size >= _LIVE_MIN else None
     if blocks is None:
         lam = np.linalg.eigvalsh(h)

@@ -324,15 +324,22 @@ def _first_of_each_pattern(indices: np.ndarray, values: np.ndarray) -> tuple:
     return indices[first], values[first]
 
 
+def _read(w: ProcessMatrix) -> tuple:
+    """``w.op`` after its one check (:func:`linalg._checked`), its norm and
+    Hermiticity defect, its coefficient tensor and the term rows of that at
+    the default threshold: what a record and a spectrum-free query share."""
+    a, norm, defect = linalg._checked(w.op)
+    tensor = hsbasis._extract(a, w.layout.subsystem_dims())
+    return a, norm, defect, tensor, *hsbasis._term_rows(tensor, None)
+
+
 def _checked_rows(w: ProcessMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The term rows of ``w.op`` at the default threshold, checked once: for
-    a non-finite entry, then for Hermiticity by the extraction. No spectrum
-    is computed. A built product's merged rows are read instead."""
+    """The term rows of :func:`_read`, with no spectrum computed; a built
+    product's merged rows are read instead."""
     if w._factors is not None:
         rec = FactorRecord.of(w)
         return rec.indices, rec.values
-    return hsbasis._term_rows(hsbasis.coefficient_tensor(
-        linalg._require_finite(w.op), w.layout.subsystem_dims()), None)
+    return _read(w)[4:]
 
 
 def _term(indices: np.ndarray, coeff) -> HSTerm:
@@ -340,12 +347,9 @@ def _term(indices: np.ndarray, coeff) -> HSTerm:
 
 
 # The rounding slack ``c·ε`` (c = 64, ε = 2**-52) of a built product's
-# Hermiticity bound, relative to its norm, and the norm up to which the
-# product's entries and norm are surely finite (docs/tolerances.md, *The
-# checks of a built product, from its factors*). Python floats, so that an
-# overflowing bound is infinite without a warning.
+# Hermiticity bound, relative to its norm (docs/tolerances.md, *The checks
+# of a built product, from its factors*).
 _PRODUCT_ROUNDING = 64 * 2.0 ** -52
-_SAFE_NORM = 1e300
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,45 +388,31 @@ class FactorRecord:
 
     @staticmethod
     def of(w: ProcessMatrix) -> "FactorRecord":
-        """The record of ``w.op``, checked once: for a non-finite entry, then
-        for Hermiticity, with the norm taken once for both the record and the
-        check. A built product's record, merged from its factors' records, is
-        returned as it is, and its operator is neither made nor read when the
-        checks are sure to pass (:meth:`checks_certain`); otherwise the made
-        operator is checked densely first, so the product raises exactly when
-        its record-free copy ``ProcessMatrix(w.layout, w.op)`` raises. A
-        built product with no merged record is read off its made operator."""
+        """The record of ``w.op``: :func:`_read`, which checks it once, with
+        its spectrum and trace. A built product's record, merged from its
+        factors' records, is returned as it is, and its operator is neither
+        made nor read when the checks are sure to pass
+        (:meth:`checks_certain`); otherwise the made operator is checked
+        densely first, so the product raises exactly when its record-free
+        copy ``ProcessMatrix(w.layout, w.op)`` raises. A built product with
+        no merged record is read off its made operator."""
         rec = w._factors.record if w._factors is not None else None
         if rec is not None:
             if not rec.checks_certain():
-                linalg.require_hermitian(linalg._require_finite(w.op))
+                linalg._checked(w.op)
             return rec
-        a = linalg._require_finite(w.op)
-        norm = linalg.frobenius(a)
-        defect = linalg._check_hermitian(a, norm)
-        tensor = hsbasis._extract(a, w.layout.subsystem_dims())
-        indices, values = hsbasis._term_rows(tensor, None)
-        # A defect of exactly 0 makes ``a`` its own Hermitian part; below
-        # _SAFE_NORM, 2a cannot overflow.
-        lam_min, lam_max = linalg._hermitian_extremes(a, defect == 0.0 and norm <= _SAFE_NORM)
-        return FactorRecord(
-            layout=w.layout,
-            indices=indices,
-            values=values,
-            lam_min=lam_min,
-            lam_max=lam_max,
-            norm=norm,
-            trace=float(a.trace().real),
-            defect=defect,
-            tensor=tensor,
-        )
+        a, norm, defect, tensor, indices, values = _read(w)
+        lam_min, lam_max = linalg._hermitian_extremes(a, norm, defect)
+        return FactorRecord(layout=w.layout, indices=indices, values=values, lam_min=lam_min,
+                            lam_max=lam_max, norm=norm, trace=float(a.trace().real),
+                            defect=defect, tensor=tensor)
 
     def checks_certain(self) -> bool:
         """Whether the dense finiteness and Hermiticity checks of the
         operator are sure to pass on what the record holds: its norm is far
         below the double range, and its ``defect`` (a bound, for a product)
         is within the Hermiticity tolerance of a norm ``c·ε`` smaller."""
-        return bool(self.norm <= _SAFE_NORM and self.defect <= linalg.hermitian_tolerance(
+        return bool(self.norm <= linalg._SAFE_NORM and self.defect <= linalg.hermitian_tolerance(
             None, (1.0 - _PRODUCT_ROUNDING) * self.norm))
 
     def patterns(self, tol: float | None = None) -> tuple[np.ndarray, ...]:

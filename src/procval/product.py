@@ -458,7 +458,8 @@ def _pattern_check(w: ProcessMatrix, z: ProcessMatrix, rw: FactorRecord, rz: Fac
     part ``F``. The product is valid when the PSD and trace checks pass on
     the record ``rw`` and ``rz`` merge into (:meth:`FactorRecord.psd_and_trace`,
     as for a built product) and no OR of two present factor patterns is
-    forbidden."""
+    forbidden. That record's extremes and trace are all it shares with the
+    verdict; its merge also multiplies term rows that are never read here."""
     # Merged first: merged after the weights, its allocations left the heap where
     # later questions fault in about 8x the pages and answer about 10 % slower.
     merged = _merge_records(rw, rz, pairing, combined_layout(w.layout, z.layout, pairing))

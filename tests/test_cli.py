@@ -11,6 +11,7 @@ import pytest
 from procval import (
     HSTerm,
     PartyLayout,
+    PartyReduction,
     ProcessMatrix,
     TermSignature,
     check_sequence,
@@ -21,6 +22,8 @@ from procval import (
     is_valid_process,
     linalg,
     normalization_oracle,
+    random_valid_process,
+    reduced_process,
     serialize,
     state_process,
     tensor_product,
@@ -165,6 +168,24 @@ class TestProduct:
         assert main(["product", docs["twoway-d2"], docs["twoway-d2"],
                      "--pairing", pairing]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_pairing_names_the_merged_parties(self, docs, capsys):
+        assert main(["product", docs["twoway-d2"], docs["oneway-xy-d2"],
+                     "--pairing", "X=Y:P,Y=X:Q"]) == 1
+        assert "parties: P(4->4) Q(4->4)   dim 256" in capsys.readouterr().out
+
+    def test_blank_pairing_chunks_are_skipped(self, docs, capsys):
+        files = [docs["twoway-d2"], docs["oneway-xy-d2"]]
+        assert main(["product", *files, "--pairing", "X=X,Y=Y"]) == 1
+        want = capsys.readouterr().out
+        assert main(["product", *files, "--pairing", " X=X,, Y=Y ,"]) == 1
+        assert capsys.readouterr().out == want
+
+    def test_pairing_entry_without_equals_exits_two(self, docs, capsys):
+        assert main(["product", docs["twoway-d2"], docs["twoway-d2"],
+                     "--pairing", "X=X,YY"]) == 2
+        assert capsys.readouterr().err == (
+            "procval: error: bad pairing entry 'YY', expected WPARTY=ZPARTY[:NAME]\n")
 
     def test_each_input_is_extracted_once(self, docs, capsys, monkeypatch):
         """The blocking-pair search and the two-party shortcut read the same
@@ -423,27 +444,17 @@ class TestOracle:
         assert f"witness: {SQUARED_TWOWAY_WITNESS}" in out
         assert "verdict: FAIL" in out
 
-    def test_seed_env_default(self, docs, monkeypatch, capsys):
-        monkeypatch.setenv("PROCVAL_SEED", "17")
-        assert main(["oracle", docs["twoway-d2"], "--samples", "3", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["seed"] == 17
-
-    def test_seed_env_is_read_per_call(self, docs, monkeypatch, capsys):
-        """The parser is built once, so ``$PROCVAL_SEED`` is read when
-        ``main`` runs; a change between two calls changes the seed used."""
-        seen = []
-        for env in ("17", "18"):
+    def test_seed_env_is_not_read(self, docs, monkeypatch, capsys):
+        """``--seed`` is the only source of the seed: ``$PROCVAL_SEED``, an
+        integer or not, changes neither the answer nor the exit code."""
+        args = ["oracle", docs["twoway-d2"], "--samples", "3", "--json"]
+        assert main(args) == 0
+        want = capsys.readouterr()
+        assert json.loads(want.out)["seed"] == 0
+        for env in ("17", "x"):
             monkeypatch.setenv("PROCVAL_SEED", env)
-            assert main(["oracle", docs["twoway-d2"], "--samples", "3", "--json"]) == 0
-            seen.append(json.loads(capsys.readouterr().out)["seed"])
-        assert seen == [17, 18]
-        monkeypatch.delenv("PROCVAL_SEED")
-        assert main(["oracle", docs["twoway-d2"], "--samples", "3", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["seed"] == 0
-        monkeypatch.setenv("PROCVAL_SEED", "x")
-        assert main(["oracle", docs["twoway-d2"]]) == 2
-        assert "PROCVAL_SEED must be an integer" in capsys.readouterr().err
+            assert main(args) == 0
+            assert capsys.readouterr() == want, env
 
 
 class TestReduce:
@@ -462,6 +473,25 @@ class TestReduce:
     def test_unknown_party_or_slot_exits_two(self, docs, capsys, keep):
         assert main(["reduce", docs["twoway-d4"], "--keep", keep]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_separate_output_factors(self, tmp_path, capsys):
+        """``NAME=IN:OUT:SLOTS`` factors a party whose input and output
+        differ: ``X(2->4)`` as ``2x1`` in and ``2x2`` out, keeping slot 0."""
+        w = random_valid_process(PartyLayout.of(("X", 2, 4), ("Y", 2, 2)), seed=3)
+        path = tmp_path / "w.procmat.json"
+        path.write_text(serialize(w), encoding="utf-8")
+        assert main(["reduce", str(path), "--keep", "X=2x1:2x2:0"]) == 0
+        want = reduced_process(w, {"X": PartyReduction((2, 1), (2, 2), (0,))})
+        assert want.layout == PartyLayout.of(("X", 2, 2), ("Y", 2, 2))
+        assert capsys.readouterr().out == serialize(want)
+
+    @pytest.mark.parametrize("keep, message", [
+        ("X2x2:0", "bad keep entry 'X2x2:0', expected NAME=FACTORS[:OUTFACTORS]:SLOTS"),
+        ("X=2:2:2:0", "bad keep entry 'X=2:2:2:0'"),
+    ])
+    def test_malformed_keep_entry_exits_two(self, docs, capsys, keep, message):
+        assert main(["reduce", docs["twoway-d4"], "--keep", keep]) == 2
+        assert capsys.readouterr().err == f"procval: error: {message}\n"
 
     def test_write_to_file(self, docs, tmp_path):
         out = tmp_path / "reduced.procmat.json"
@@ -538,6 +568,48 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+class TestReaderInputErrors:
+    """A document the reader cannot take is an input error: exit 2 and one
+    line on stderr, never a traceback."""
+
+    @staticmethod
+    def edited(tmp_path, layout, old, new):
+        text = serialize(random_valid_process(PartyLayout.of(layout), seed=1))
+        assert text.count(old) == 1
+        path = tmp_path / "edited.procmat.json"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("layout, old, message", [
+        (("A", 1, 2), '"d_in": 1', "d_in must be a positive integer (at parties[0])"),
+        (("A", 2, 1), '"d_out": 1', "d_out must be a positive integer (at parties[0])"),
+        (("A", 1, 1), '"dim": 1', "matrix.dim must be a positive integer (at matrix.dim)"),
+    ])
+    def test_boolean_dimension(self, tmp_path, capsys, layout, old, message):
+        """``true`` decodes to a bool, which Python counts as the integer 1."""
+        path = self.edited(tmp_path, layout, old, old.replace("1", "true"))
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == f"procval: error: {message}\n"
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        """Too deep for ``json.loads``, on the general path and in the
+        canonical path's metadata, which then leaves it to the general path."""
+        deep = '{"a": ' * 50_000 + "1" + "}" * 50_000
+        canonical = serialize(twoway_channel_process(2), metadata={"x": 1}).replace('{"x": 1}', deep)
+        for k, text in enumerate(["[" * 200_000 + "]" * 200_000, canonical]):
+            path = tmp_path / f"deep{k}.procmat.json"
+            path.write_text(text, encoding="utf-8")
+            assert main(["validate", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                "procval: error: invalid JSON: nested too deeply to decode (at $)\n")
+
+    def test_non_finite_entry_still_parses(self, docs, capsys):
+        """``decompose`` runs no finiteness check, so a NaN document is
+        listed (exit 0), as the benchmark's ``cli-docs`` round expects."""
+        assert main(["decompose", docs["nan"]]) == 0
+        assert capsys.readouterr().out.endswith(" terms\n")
 
 
 @pytest.mark.parametrize("command", ["validate", "product"])

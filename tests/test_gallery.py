@@ -169,6 +169,11 @@ class TestMixture:
         with pytest.raises(ValueError):
             mixture([], [])
 
+    def test_default_weights_are_equal(self):
+        a = gallery_entry("twoway-d2").process
+        b = gallery_entry("state-bell-d2").process
+        assert np.array_equal(mixture([a, b]).op, mixture([a, b], [0.5, 0.5]).op)
+
     def test_layout_check(self):
         a = gallery_entry("twoway-d2").process
         b = gallery_entry("state-maxmix-d2").process

@@ -1,5 +1,6 @@
 """Tests for the operator basis and the term decomposition."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -76,6 +77,17 @@ def test_product_basis_orthogonality_exhaustive():
 
 
 class TestDecompose:
+    def test_imaginary_residue_within_the_hermitian_tolerance(self):
+        """``(I+X+Y+Z)`` on eight qubits has every coefficient 1 and norm
+        ``256**1.5``, so an anti-Hermitian ``i s X⊗I..`` just inside the
+        Hermiticity tolerance leaves a residue ``s`` of about 8x
+        ``1e-10 (1 + max|c|)``."""
+        h = functools.reduce(np.kron, [PAULI[0] + PAULI[1] + PAULI[2] + PAULI[3]] * 8)
+        k = functools.reduce(np.kron, [PAULI[1]] + [PAULI[0]] * 7)
+        s = 0.4e-12 * (1 + linalg.frobenius(h))
+        with pytest.raises(ValueError, match="^coefficient extraction left imaginary residue 1.639e-09$"):
+            hsbasis.coefficient_tensor(h + 1j * s * k, (2,) * 8)
+
     def test_identity(self):
         terms = hsbasis.decompose(np.eye(8), (2, 4))
         assert terms == [HSTerm((0, 0), 1.0)]

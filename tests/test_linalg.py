@@ -56,6 +56,11 @@ class TestTensor:
             linalg.tensor()
 
 
+def test_as_operator_needs_a_square_matrix():
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        linalg.as_operator(np.zeros((2, 3)))
+
+
 class TestPartialTrace:
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(1)
@@ -105,6 +110,10 @@ class TestPartialTrace:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             linalg.partial_trace(np.eye(4), (2, 3), {0})
+
+    def test_dimension_below_one(self):
+        with pytest.raises(ValueError, match="^subsystem dimensions must be >= 1$"):
+            linalg.partial_trace(np.eye(2), (2, 0), [1])
 
     def test_total_dimension_past_int64(self):
         """``2**32 · 2**32 · 16 = 2**68``, which a product in int64 wraps to 0."""
@@ -303,6 +312,27 @@ class TestBlockSpectrum:
         h[3, 90], h[90, 3] = 1j, -1j
         assert [b.shape for b in linalg._coupled_blocks(h)] == [(126, 1), (1, 2)]
         assert linalg.eigenvalue_range(h) == pytest.approx((-1.0, 1.0), abs=64 * EPS)
+
+    def test_unsettled_passes_fall_back_to_one_call(self, monkeypatch):
+        """A path of ``2**7 + 1`` rows, ordered so that each pass leaves
+        every other root of the path standing, needs 8 hooking passes and a
+        ninth to settle. With a row of its own beside it (dim 130) the
+        search has ``(130).bit_length()``, 8 passes, so it gives up (None)
+        although the pattern has two blocks, and the whole operator goes
+        through one ``eigvalsh``."""
+        # The more 2-adic a position of the path, the smaller its row.
+        positions = range(2**7 + 1)
+        order = sorted(positions, key=lambda p: (-(p & -p if p else 2**8), p))
+        rows = [order.index(p) for p in positions]
+        rng = np.random.default_rng(8)
+        h = np.diag(rng.normal(size=130)).astype(complex)  # row 129 stands alone
+        for a, b in zip(rows, rows[1:]):
+            h[a, b] = complex(*rng.normal(size=2))
+            h[b, a] = h[a, b].conjugate()
+        assert linalg._coupled_blocks(h) is None
+        want = whole_extremes(h)
+        dims = record_eigvalsh_dims(monkeypatch)
+        assert linalg.eigenvalue_range(h) == want and dims == [130]
 
     def test_rows_of_zeros_are_blocks_of_their_own(self):
         h, _ = hidden_blocks(128, np.random.default_rng(6), sizes=[2])

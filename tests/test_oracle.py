@@ -20,6 +20,7 @@ from procval import (
 from procval import oracle
 from procval.hsbasis import HSTerm
 from procval.oracle import (
+    ChoiChannel,
     _PartySweep,
     _sweep_probabilities,
     depolarizing_channel,
@@ -94,6 +95,24 @@ class TestRandomCptp:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             random_cptp(1 << 7, 1 << 7, seed=0)
+
+    @pytest.mark.parametrize("dims, env_dim, message", [
+        ((0, 2), None, "channel dimensions must be >= 1"),
+        ((2, 0), None, "channel dimensions must be >= 1"),
+        ((2, 2), 0, "environment dimension must be >= 1"),
+    ])
+    def test_dimensions_below_one(self, dims, env_dim, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_cptp(*dims, env_dim=env_dim, seed=0)
+
+    @pytest.mark.parametrize("diagonal, message", [
+        ([1.5, -0.5], "Choi operator is not PSD: min eigenvalue -5.000e-01"),
+        ([0.5, 0.25], "channel is not trace preserving: defect 2.500e-01"),
+    ])
+    def test_validate_names_the_failed_condition(self, diagonal, message):
+        """A 1 -> 2 Choi operator is a state scaled by its trace."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ChoiChannel(1, 2, np.diag(diagonal)).validate()
 
 
 class TestProbability:

@@ -55,6 +55,10 @@ class TestLayout:
         with pytest.raises(ValueError):
             PartyLayout.of(("A", 0, 2))
 
+    def test_rejects_no_parties(self):
+        with pytest.raises(ValueError, match="^layout needs at least one party$"):
+            PartyLayout(())
+
     def test_unknown_party(self):
         with pytest.raises(KeyError):
             QUBIT_BIPARTITE.party_index("Q")
@@ -483,6 +487,12 @@ class TestReducedProcess:
         bad = PartyReduction((2, 3), (2, 2), (0,))
         with pytest.raises(ValueError, match="multiply"):
             reduced_process(w4, {"X": bad})
+
+    def test_rejects_wrong_output_products(self):
+        w4 = twoway_channel_process(4)
+        bad = PartyReduction((2, 2), (2, 3), (0,))
+        with pytest.raises(ValueError, match=r"^party 'Y': output factors \(2, 3\) do not multiply to 4$"):
+            reduced_process(w4, {"Y": bad})
 
     def test_rejects_empty_keep(self):
         with pytest.raises(ValueError):

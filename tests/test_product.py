@@ -100,6 +100,12 @@ class TestPairing:
         with pytest.raises(KeyError):
             tensor_product(w, w, pairing=bad)
 
+    def test_pairing_must_cover_every_party(self):
+        w = twoway_channel_process(2)
+        short = PartyPairing((("X", "X", "X"),))
+        with pytest.raises(ValueError, match="^pairing must cover every party of both"):
+            find_blocking_pairs(w, w, pairing=short)
+
     def test_duplicate_merged_names_rejected(self):
         with pytest.raises(ValueError):
             PartyPairing((("X", "X", "A"), ("Y", "Y", "A")))
@@ -658,11 +664,11 @@ class TestFactorRecord:
             assert FactorRecord.of(w).valid == is_valid_process(w).verdict
 
     def test_each_operator_is_checked_once(self, monkeypatch):
-        """One finiteness and one Hermiticity check per operator, counted over
-        build and validation: the plain operator's, or one per factor when a
-        product is built. A built product's own operator is not checked:
-        its factors' defects and norms bound its checks (the factors here
-        are exactly Hermitian)."""
+        """One check (``linalg._checked``: finiteness, then Hermiticity) per
+        operator, counted over build and validation: the plain operator's,
+        or one per factor when a product is built. A built product's own
+        operator is not checked: its factors' defects and norms bound its
+        checks (the factors here are exactly Hermitian)."""
         def spy(name):
             seen, real = [], getattr(linalg, name)
 
@@ -673,13 +679,13 @@ class TestFactorRecord:
             monkeypatch.setattr(linalg, name, wrapped)
             return seen
 
-        finite, hermitian = spy("_require_finite"), spy("hermiticity_defect")
+        checked, hermitian = spy("_checked"), spy("hermiticity_defect")
 
         def dims_checked(build):
-            finite.clear()
+            checked.clear()
             hermitian.clear()
             FactorRecord.of(build())
-            assert finite == hermitian
+            assert checked == hermitian
             return sorted(hermitian)
 
         chan, prep = prep_measure_pair()
@@ -1421,6 +1427,14 @@ class TestPatternCheck:
         for bad in (negative, ProcessMatrix(layout, 2 * mixed.op)):
             assert _check(bad, mixed, pairing) == (False, 0.0)
             assert is_valid_process(dense_product(bad, mixed)).verdict is False
+
+
+def test_ldexp_saturates_past_the_double_range():
+    """The forbidden weight is scaled back by ``2**k``; past the double
+    range it is infinite with its sign, not an OverflowError."""
+    assert product._ldexp(0.75, 4) == 12.0
+    assert product._ldexp(0.75, 2000) == np.inf
+    assert product._ldexp(-0.75, 2000) == -np.inf
 
 
 class TestPatternPresence:

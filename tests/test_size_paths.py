@@ -55,7 +55,8 @@ def large_operator_paths():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(linalg, "_LIVE_MIN", 0)
         m.setattr(linalg, "_coupled_blocks", lambda h: None)
-        m.setattr(linalg, "_hermitian_extremes", lambda a, hermitian=False: real(a))
+        # a nonzero defect keeps the copy
+        m.setattr(linalg, "_hermitian_extremes", lambda a, norm, defect: real(a, norm, 1.0))
         yield
 
 
@@ -174,7 +175,7 @@ class TestHermitianExtremes:
             a = w.op
             assert linalg.hermiticity_defect(a) == 0.0
             lam = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-            assert bits(*linalg._hermitian_extremes(a, True)) == bits(lam[0], lam[-1])
+            assert bits(*linalg._hermitian_extremes(*linalg._checked(a))) == bits(lam[0], lam[-1])
 
     def test_records_read_their_extremes_as_the_dense_check_does(self):
         for w in self.processes():
@@ -218,9 +219,10 @@ class TestHermitianExtremes:
         values[::5] = 0.0
         a = np.zeros((4096, 4096), dtype=complex)
         a[np.diag_indices(4096)] = values
+        norm = linalg.frobenius(a)
         tracemalloc.start()
         try:
-            got = linalg._hermitian_extremes(a, True)
+            got = linalg._hermitian_extremes(a, norm, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
